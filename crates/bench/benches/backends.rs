@@ -2,11 +2,12 @@
 //! kernel sweep that populates the engine's `BackendTable`.
 //!
 //! This bench grounds the execution engine's backend-choice lookup
-//! (`tasd::BackendTable::measured`, parallelism thresholds) in measured numbers. Two
-//! sections:
+//! (`tasd::BackendTable::measured`) in measured numbers. Two sections:
 //!
 //! * **whole-operand kernels** — the original comparison: scalar reference, blocked
-//!   dense, CSR, N:M, and parallel variants on the same 512³ GEMM;
+//!   dense, CSR, and N:M on the same 512³ GEMM, plus the engine's planned path on one
+//!   worker (`engine_gemm_workers1`) and with its default executor row tiling
+//!   (`engine_gemm_tiled`);
 //! * **term kernels** — the prepared-operand question: take an actual decomposed TASD
 //!   term (2:8 of a 50%/90%-sparse operand) and execute the *same content* through the
 //!   native N:M kernel, the CSR kernel (CSR-packed), and the blocked dense kernel
@@ -23,12 +24,9 @@
 //! Run with: `cargo bench --bench backends` (append `-- --test` for the smoke mode).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::sync::Arc;
 use tasd::{ExecutionEngine, TasdConfig};
 use tasd_bench::bench_json::BenchRecorder;
-use tasd_tensor::backend::{
-    CsrBackend, DenseBackend, GemmBackend, GemmOperand, NmBackend, ParallelBackend,
-};
+use tasd_tensor::backend::{CsrBackend, DenseBackend, GemmBackend, GemmOperand, NmBackend};
 use tasd_tensor::{gemm, CsrMatrix, Matrix, MatrixGenerator, NmCompressed, NmPattern};
 
 const SIZE: usize = 512;
@@ -88,14 +86,24 @@ fn bench_whole_operand(rec: &mut BenchRecorder, sparsity: f64) {
     rec.measure_flops("nm_4_8", &label, nm_flops, || {
         run_backend(&nm_backend, &nm, &b, &mut c)
     });
-    let parallel_dense = ParallelBackend::default();
-    rec.measure_flops("parallel_dense", &label, flops, || {
-        run_backend(&parallel_dense, &a, &b, &mut c)
-    });
-    let parallel_csr = ParallelBackend::over(Arc::new(CsrBackend::default()));
-    rec.measure_flops("parallel_csr", &label, flops, || {
-        run_backend(&parallel_csr, &csr, &b, &mut c)
-    });
+    // The engine's planned path for the same dense-stored operand: one worker (every
+    // kernel whole, on the caller) against the default executor, which tiles the
+    // output rows over its resident workers.
+    for (name, engine) in [
+        (
+            "engine_gemm_workers1",
+            ExecutionEngine::builder().workers(1).build(),
+        ),
+        ("engine_gemm_tiled", ExecutionEngine::builder().build()),
+    ] {
+        rec.measure_flops(name, &label, flops, || {
+            c.rows_slice_mut(0, SIZE).fill(0.0);
+            engine
+                .gemm_into(std::hint::black_box(&a), std::hint::black_box(&b), &mut c)
+                .unwrap();
+            std::hint::black_box(&c);
+        });
+    }
 
     // The engine's automatic path end-to-end: planned backends over a lossless two-term
     // series (4:8+4:8 covers every element, so the math matches the dense GEMM).

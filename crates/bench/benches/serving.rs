@@ -26,11 +26,11 @@
 //!    conversions / replans / rescans, one cache hit per shard). Sharded-vs-unsharded
 //!    ns/iter is recorded into `BENCH_serving.json` (`submit_sharded/*`), not gated —
 //!    shard parallelism is a multi-core win and CI runs on one core;
-//! 6. the **async serving** micro-batch window ([`serving_window_gate`]): a window of 2
-//!    ticks coalesces ≥ 2 late arrivals into one decomposition (≥ 1 fewer than the same
-//!    requests submitted individually), bitwise identical to per-request execution, and
-//!    `ServingEngine::submit` answers exactly like `ExecutionEngine::submit`. Warm
-//!    window-vs-per-request ns/iter is recorded as `serving_async/*`;
+//! 6. the **async serving** micro-batch window ([`serving_window_gate`]): a 2 ms window
+//!    on a stepped session clock coalesces ≥ 2 late arrivals into one decomposition (≥ 1
+//!    fewer than the same requests submitted individually), bitwise identical to
+//!    per-request execution. Warm window-vs-per-request ns/iter is recorded as
+//!    `serving_async/*`;
 //! 7. the **overload** path ([`measure_overload`]): a capacity-bounded session with
 //!    `ShedExpiredFirst` absorbing a flood of already-expired requests resolves every
 //!    flooded handle `DeadlineExceeded`, answers the in-budget batch bitwise
@@ -388,28 +388,32 @@ fn measure_sharded(rec: &mut BenchRecorder) {
 
 /// The async-serving micro-batch window gate (always run, including `-- --test` smoke):
 ///
-/// 1. a **window of 2 ticks coalesces late arrivals**: on a cache-less engine (so the
-///    decomposition count measures coalescing directly), one enqueue + one tick + two
-///    late enqueues + one tick dispatch as **one** window performing **one**
-///    decomposition, where the same three requests submitted individually perform
-///    three — the window saves ≥ 1 decomposition, the acceptance criterion;
-/// 2. window outputs are **bitwise identical** to individual per-request `submit`s;
-/// 3. `ServingEngine::submit` (the back-compat wrapper) answers bitwise identically to
-///    `ExecutionEngine::submit` with the same window telemetry shape.
+/// 1. a **2 ms window coalesces late arrivals**: on a cache-less engine (so the
+///    decomposition count measures coalescing directly) and a stepped [`MockClock`],
+///    one enqueue + an age check at 1 ms + two late enqueues + an age check at 2 ms
+///    dispatch as **one** window performing **one** decomposition, where the same three
+///    requests submitted individually perform three — the window saves ≥ 1
+///    decomposition, the acceptance criterion;
+/// 2. window outputs are **bitwise identical** to individual per-request `submit`s.
 fn serving_window_gate(_c: &mut Criterion) {
     let (a, panels, cfg) = workload(0.9, 8);
 
     // -- Gate 1 + 2: the coalescing window vs individual submits. ----------------------
     let engine = Arc::new(ExecutionEngine::builder().cache_capacity(0).build());
-    let serving = ServingEngine::over(Arc::clone(&engine))
-        .with_max_wait(2)
+    let clock = Arc::new(MockClock::new());
+    let serving = ServingEngine::over_with_clock(Arc::clone(&engine), clock.clone())
+        .with_max_wait(Duration::from_millis(2))
         .with_max_batch(64);
     let h0 = serving.enqueue(BatchRequest::decomposed(
         Arc::clone(&a),
         cfg.clone(),
         panels[0].clone(),
     ));
-    assert!(!serving.tick(), "1 of 2 ticks: the window must stay open");
+    clock.advance(Duration::from_millis(1));
+    assert!(
+        !serving.dispatch_due(),
+        "1 of 2 ms: the window must stay open"
+    );
     let late: Vec<_> = panels[1..3]
         .iter()
         .map(|b| {
@@ -420,11 +424,15 @@ fn serving_window_gate(_c: &mut Criterion) {
             ))
         })
         .collect();
-    assert!(serving.tick(), "2 of 2 ticks: the window must dispatch");
+    clock.advance(Duration::from_millis(1));
+    assert!(
+        serving.dispatch_due(),
+        "2 of 2 ms: the window must dispatch"
+    );
     let window_decompositions = engine.prep_stats().prepares;
     assert_eq!(
         window_decompositions, 1,
-        "a 2-tick window must coalesce 3 requests into one decomposition"
+        "a 2 ms window must coalesce 3 requests into one decomposition"
     );
     let mut outs = vec![h0.wait()];
     outs.extend(late.into_iter().map(|h| h.wait()));
@@ -450,28 +458,7 @@ fn serving_window_gate(_c: &mut Criterion) {
          ({window_decompositions} vs {individual_decompositions})"
     );
 
-    // -- Gate 3: the back-compat submit wrapper. ---------------------------------------
-    let engine = Arc::new(ExecutionEngine::builder().build());
-    let serving = ServingEngine::over(Arc::clone(&engine));
-    let (via_session, session_telemetry) =
-        serving.submit_with_telemetry(requests(&a, &panels, &cfg));
-    let (via_engine, engine_telemetry) = engine.submit_with_telemetry(requests(&a, &panels, &cfg));
-    for (s, e) in via_session.iter().zip(&via_engine) {
-        assert_eq!(
-            s.output.as_ref().unwrap(),
-            e.output.as_ref().unwrap(),
-            "ServingEngine::submit must be bitwise identical to ExecutionEngine::submit"
-        );
-    }
-    assert_eq!(session_telemetry.requests, engine_telemetry.requests);
-    assert_eq!(
-        session_telemetry.groups.len(),
-        engine_telemetry.groups.len()
-    );
-
-    println!(
-        "serving window gate: 2-tick coalescing + bitwise + submit-wrapper contracts verified"
-    );
+    println!("serving window gate: 2 ms coalescing + bitwise contracts verified");
 }
 
 /// Warm async serving (one coalesced micro-batch window) vs warm per-request `submit`
@@ -664,12 +651,12 @@ fn measure_overload(rec: &mut BenchRecorder) {
 }
 
 /// The network serving path: an in-process `tasd-serve` server on a loopback socket,
-/// its background ticker owning window close.
+/// its background dispatcher owning window close.
 ///
 /// Correctness gate (always run, including `-- --test` smoke mode): 4 concurrent
 /// connections × 16 requests through the socket return outputs **bitwise identical**
-/// to an in-process `ServingEngine::submit` of the same requests on a separate engine
-/// instance — the wire codec and the ticker-owned window must be invisible in the
+/// to an in-process `ExecutionEngine::submit` of the same requests on a separate engine
+/// instance — the wire codec and the dispatcher-owned window must be invisible in the
 /// result bits.
 ///
 /// Timing: a closed-loop load-generator run records per-request latency percentiles
@@ -684,11 +671,7 @@ fn measure_serving_net(rec: &mut BenchRecorder) {
     const NET_REQUESTS: usize = 16;
     const NET_CFG: &str = "2:8+1:8";
 
-    let server_cfg = ServerConfig {
-        tick_interval: Duration::from_millis(1),
-        ..ServerConfig::default()
-    };
-    let mut server = Server::bind("127.0.0.1:0", server_cfg).expect("bind loopback");
+    let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind loopback");
     let addr = server.local_addr();
 
     // -- Gate: socket responses ≡ in-process submit, bitwise. --------------------------
@@ -730,9 +713,9 @@ fn measure_serving_net(rec: &mut BenchRecorder) {
             .map(|h| h.join().expect("net gate connection"))
             .collect()
     });
-    let reference_session = ServingEngine::over(Arc::new(ExecutionEngine::builder().build()));
+    let reference_engine = ExecutionEngine::builder().build();
     for (c, wire_outputs) in over_wire.iter().enumerate() {
-        let reference = reference_session.submit(
+        let reference = reference_engine.submit(
             operands(c)
                 .into_iter()
                 .map(|(a, b)| BatchRequest::decomposed(a, cfg.clone(), b))
@@ -776,7 +759,7 @@ fn measure_serving_net(rec: &mut BenchRecorder) {
     assert_eq!(report.errors, 0, "load traffic must not be rejected");
     let label = format!(
         "net conns={NET_CONNECTIONS} reqs={} shapes=96x128@0.9+128x96@0.7 \
-         panels={PANEL_COLS} cfg={NET_CFG} tick=1ms",
+         panels={PANEL_COLS} cfg={NET_CFG} max_wait=1ms",
         spec.requests_per_connection
     );
     rec.record("serving_net/p50", &label, report.p50);

@@ -178,8 +178,8 @@ pub fn improvement_pct(normalized: f64) -> f64 {
     (1.0 - normalized) * 100.0
 }
 
-/// Test-support utilities shared by the repository's integration tests (the
-/// multi-thread stress suites in `tests/parallel_stress.rs` and `tests/sharding.rs`).
+/// Test-support utilities shared by the repository's integration tests (e.g. the
+/// loopback suite in `tests/serve_net.rs`).
 pub mod testing {
     /// The host's available hardware parallelism (1 when it cannot be determined).
     pub fn available_parallelism() -> usize {

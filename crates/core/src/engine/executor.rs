@@ -1,16 +1,13 @@
 //! The engine's shared work-queue executor: one pool, sized once, for every parallel job.
 //!
-//! Before this module, the shard path spawned a fresh set of scoped threads **per sharded
-//! GEMM** and sized itself from `rayon::current_num_threads()` **per call** — so two
-//! concurrent sharded batches each spawned a full pool and oversubscribed the machine by
-//! 2×. The [`Executor`] fixes both: the worker count is captured **once** at engine
-//! construction ([`EngineBuilder::workers`](super::EngineBuilder::workers) or the
-//! available parallelism at build time), the pool threads are spawned **once** (lazily,
-//! on the first parallel job), and every parallel job in the engine — shard executions
-//! from any number of concurrent callers — drains through the **same** queue. N
-//! concurrent sharded batches therefore share one pool: placement changes under load,
-//! results never do (jobs are independent by construction — each writes its own disjoint
-//! output slab).
+//! The worker count is captured **once** at engine construction
+//! ([`EngineBuilder::workers`](super::EngineBuilder::workers) or the available
+//! parallelism at build time), the pool threads are spawned **once** (lazily, on the
+//! first parallel job), and every parallel job in the engine — the row tiles of large
+//! GEMMs and shard executions, from any number of concurrent callers — drains through
+//! the **same** queue. N concurrent callers therefore share one pool instead of each
+//! spawning threads per call: placement changes under load, results never do (jobs are
+//! independent by construction — each writes its own disjoint output slab).
 //!
 //! # Execution model
 //!
@@ -23,9 +20,9 @@
 //!   works. Inductively, every enqueued job is eventually run by a pool thread or a
 //!   helping caller.
 //! * **No oversubscription.** The pool holds `workers − 1` resident threads; the caller
-//!   is the missing worker. A single sharded GEMM thus computes on exactly `workers`
-//!   threads, same as the old scoped pool — but concurrent batches now *share* those
-//!   threads instead of each spawning their own.
+//!   is the missing worker. A single tiled or sharded GEMM thus computes on exactly
+//!   `workers` threads, and concurrent batches *share* those threads instead of each
+//!   spawning their own.
 //!
 //! Worker panics are caught **per job** and carried back to the submitting caller
 //! indexed by job: [`Executor::run_all_isolated`] returns the per-job payloads so the
@@ -42,9 +39,13 @@ use std::thread::JoinHandle;
 
 use super::sync::{lock_or_panic, wait_or_panic};
 
+/// One job handed to [`Executor::run_all`]: it may borrow from the caller's stack for
+/// `'scope`.
+pub(crate) type Job<'scope> = Box<dyn FnOnce() + Send + 'scope>;
+
 /// A job as stored on the queue: lifetime-erased, completion-tracked (see the safety
 /// note on [`Executor::run_all`]).
-type QueuedJob = Box<dyn FnOnce() + Send + 'static>;
+type QueuedJob = Job<'static>;
 
 /// State shared between the pool threads and submitting callers.
 #[derive(Default)]
@@ -181,7 +182,7 @@ impl Executor {
     /// the caller's stack. If any job panics, the first panic (by job index) is
     /// re-raised here after the whole batch has settled.
     // lint: hot-path
-    pub(crate) fn run_all<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
+    pub(crate) fn run_all<'scope>(&self, jobs: Vec<Job<'scope>>) {
         let mut panics = self.run_all_isolated(jobs);
         if let Some(payload) = panics.iter_mut().find_map(Option::take) {
             resume_unwind(payload);
@@ -199,7 +200,7 @@ impl Executor {
     // lint: hot-path
     pub(crate) fn run_all_isolated<'scope>(
         &self,
-        jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>,
+        jobs: Vec<Job<'scope>>,
     ) -> Vec<Option<Box<dyn Any + Send>>> {
         if jobs.is_empty() {
             return Vec::new();
@@ -228,9 +229,7 @@ impl Executor {
                 // * No erased job outlives the queue unrun: `shutdown` is only set in
                 //   `Drop`, which takes `&mut self` and therefore cannot overlap an
                 //   in-flight `run_all_isolated` borrow of `self`.
-                let job = unsafe {
-                    std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, QueuedJob>(job)
-                };
+                let job = unsafe { std::mem::transmute::<Job<'scope>, QueuedJob>(job) };
                 let latch = Arc::clone(&latch);
                 queue.jobs.push_back(Box::new(move || {
                     let panic = catch_unwind(AssertUnwindSafe(job)).err();

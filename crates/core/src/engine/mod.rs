@@ -5,8 +5,8 @@
 //!
 //! 1. **Planning** — for each GEMM (a decomposed [`TasdSeries`] term by term, or a plain
 //!    dense matrix), pick a [`GemmBackend`] from the term's density and shape using the
-//!    measured [`BackendTable`], and decide whether the row blocks are worth tiling
-//!    across threads ([`MatmulPlan`]). Plans are **memoized** per
+//!    measured [`BackendTable`], and decide whether the output rows are worth tiling
+//!    across the executor's workers ([`MatmulPlan`]). Plans are **memoized** per
 //!    `(operand fingerprint, configuration, output-width bucket)`, so steady-state
 //!    serving never replans.
 //! 2. **Preparing** — at decomposition time, materialize every term into its planned
@@ -16,10 +16,10 @@
 //!    keyed by (matrix fingerprint, configuration), so repeated requests against the
 //!    same tensor skip the greedy extraction *and* the format packing entirely.
 //! 4. **Execution** — run every term through the [`GemmBackend`] trait; no caller
-//!    dispatches to a format-specific kernel directly. Parallel work — row shards from
-//!    any number of concurrent callers — runs on the engine's **one shared executor**,
-//!    a worker pool sized once at build time ([`EngineBuilder::workers`]): nothing in
-//!    the engine spawns threads per call.
+//!    dispatches to a format-specific kernel directly. Parallel work — the row tiles of
+//!    a large GEMM and row shards, from any number of concurrent callers — runs on the
+//!    engine's **one shared executor**, a worker pool sized once at build time
+//!    ([`EngineBuilder::workers`]): nothing in the engine spawns threads per call.
 //! 5. **Serving** — [`ServingEngine`] (from [`EngineBuilder::serving`]) is the
 //!    session-based front-end: callers [`enqueue`](ServingEngine::enqueue) requests and
 //!    collect [`ResponseHandle`]s while a micro-batch window coalesces in-flight
@@ -89,56 +89,25 @@
 //! alive; size it to the distinct live operands of your serving set, or set it to 0 to
 //! pin nothing (every batch then rescans).
 //!
-//! # Serving sessions: enqueue → window → group → execute → handle
+//! # Serving sessions
 //!
-//! [`ServingEngine`] turns the engine into a continuous serving system. One session's
-//! lifecycle:
+//! [`ServingEngine`] (from [`EngineBuilder::serving`]) coalesces independently enqueued
+//! requests into micro-batch windows and runs each window through
+//! [`submit`](ExecutionEngine::submit) below. Its lifecycle (enqueue → window → group →
+//! execute → handle), window ownership, and deadline/overload/shutdown contracts are
+//! documented in `engine/serving.rs`.
 //!
-//! 1. **Enqueue** — any thread calls [`enqueue`](ServingEngine::enqueue) with a
-//!    [`BatchRequest`] and gets a [`ResponseHandle`] back immediately; the request
-//!    parks in the session's *open window*.
-//! 2. **Window** — the open window closes when it reaches
-//!    [`max_batch`](ServingEngine::with_max_batch) requests, when its oldest request
-//!    has waited [`max_wait`](ServingEngine::with_max_wait) logical
-//!    [`tick`](ServingEngine::tick)s, or when someone calls
-//!    [`flush`](ServingEngine::flush) / blocks on [`ResponseHandle::wait`]. Until
-//!    then, late arrivals keep joining — `k` stragglers against one operand become
-//!    **one** decomposition and one packed kernel pass instead of `k`.
-//!    The logical clock needs an **owner**: in production that is the session's
-//!    background ticker ([`ServingEngine::spawn_ticker`]), a wall-clock thread whose
-//!    [`TickerHandle`] bounds window-close latency by `max_wait × interval` real time
-//!    no matter what callers do — without one, a parked request with no follow-up
-//!    traffic waits forever unless its own caller blocks in `wait()`.
-//! 3. **Group + execute** — the closed window runs through the batch executor below:
-//!    same grouping key, same shortest-plan-first admission, same packed passes, same
-//!    shard routing. Every `submit` contract holds per window.
-//! 4. **Handle** — each response lands in its handle:
-//!    [`is_ready`](ResponseHandle::is_ready) / [`try_take`](ResponseHandle::try_take)
-//!    poll, [`wait`](ResponseHandle::wait) blocks (closing the open window first, so a
-//!    lone waiter never hangs), and
-//!    [`wait_without_dispatch`](ResponseHandle::wait_without_dispatch) blocks
-//!    *passively* — preserving the window's coalescing — for consumers running under a
-//!    ticker-owned session (the network serving front-end's writer threads).
-//!
-//! **Migrating from `submit`.** [`ExecutionEngine::submit`] keeps working unchanged —
-//! it *is* the window executor, invoked with a caller-assembled window. A session's
-//! [`ServingEngine::submit`] is the same call re-expressed as enqueue-and-drain: it
-//! closes the open window, then runs the given batch as one window of its own,
-//! returning identical responses and identical [`BatchTelemetry`], serialized with the
-//! session's dispatcher. Port code by replacing batch assembly with `enqueue` +
-//! handles; keep `submit` where the caller already owns a whole batch.
-//!
-//! **The executor-placement guarantee.** Every window and every shard job runs on the
-//! engine's one shared executor — a pool sized **once** at build time
-//! ([`EngineBuilder::workers`], default: available parallelism) and spawned **once**
-//! (lazily; [`ExecutionEngine::pool_threads`] proves it) — so N concurrent serving
-//! threads, sessions, or sharded batches share `workers` threads instead of spawning
-//! their own. Placement under load changes *when and where* a shard executes, never
-//! its result: shards write disjoint output slabs and groups execute bitwise
-//! identically to per-request calls, so serving answers are independent of window
-//! composition, admission order, and thread placement. (Per-kernel row tiling inside
-//! [`ParallelBackend`] still sizes from the environment per call; the engine-level
-//! seams all go through the executor.)
+//! **The executor-placement guarantee.** Every parallel job — the row tiles of a large
+//! GEMM, every shard job, from every window and every caller — runs on the engine's one
+//! shared executor: a pool sized **once** at build time ([`EngineBuilder::workers`],
+//! default: available parallelism) and spawned **once** (lazily;
+//! [`ExecutionEngine::pool_threads`] proves it), so N concurrent serving threads,
+//! sessions, or sharded batches share `workers` threads instead of spawning their own.
+//! Placement under load changes *when and where* a tile or shard executes, never its
+//! result: tiles and shards write disjoint output slabs, each output row accumulates its
+//! terms in the same order however the rows are split, and groups execute bitwise
+//! identically to per-request calls — so serving answers are independent of window
+//! composition, admission order, and thread placement.
 //!
 //! # Batched serving: the `submit` contract
 //!
@@ -179,7 +148,9 @@
 //!   [`EngineBuilder::shard_min_rows`] make [`submit`](ExecutionEngine::submit) and the
 //!   serving warmup ([`warm_serving_operand`](ExecutionEngine::warm_serving_operand),
 //!   used by `Mlp::prepare_serving`) route oversized decomposed groups through shards.
-//!   Explicitly: a [`ShardedEngine`] shards everything handed to it.
+//!   Explicitly: [`prepare_sharded`](ExecutionEngine::prepare_sharded) and
+//!   [`series_gemm_sharded`](ExecutionEngine::series_gemm_sharded) shard whatever they
+//!   are handed, under the policy passed in.
 //! * **Choosing a [`ShardPolicy`].** [`ShardPolicy::TargetShards`] (rows split evenly,
 //!   usually one or two shards per worker) is the default choice for uniformly sparse
 //!   operands. [`ShardPolicy::NnzBalanced`] splits on *stored non-zeros* instead and is
@@ -324,7 +295,7 @@
 //!   registered in `lint.toml`'s lock table; nested acquisitions must follow the
 //!   declared order `dispatch → clock → session → slot → engine memos → executor
 //!   pool → queue → latch → faults`, so the serving layer cannot deadlock against
-//!   the executor (the deadline clock and the fault plan keep their locks at the
+//!   the executor (the session clock and the fault plan keep their locks at the
 //!   edges: the clock is read before deeper locks are taken, the fault plan's lock
 //!   is released before an injected fault fires).
 //! * **Unsafe audit.** Every `unsafe` site carries an adjacent `// SAFETY:` (or
@@ -349,6 +320,7 @@ mod batch;
 mod cache;
 mod clock;
 mod deploy;
+mod dispatcher;
 mod executor;
 mod faults;
 mod persist;
@@ -357,7 +329,6 @@ mod prepared;
 mod serving;
 mod shard;
 mod sync;
-mod ticker;
 
 pub use batch::{
     admission_order, BatchRequest, BatchResponse, BatchTelemetry, GroupTelemetry, ServingError,
@@ -366,32 +337,31 @@ pub use batch::{
 pub use cache::{CacheEntryStats, CacheStats, DecompositionCache};
 pub use clock::{Clock, MockClock, MonotonicClock};
 pub use deploy::{DeployError, DeployReport, Generation, WeightStore};
+pub use dispatcher::DispatcherHandle;
 pub use faults::{FaultKind, FaultPlan, FaultRecord, FaultSite, FaultyBackend};
 pub use persist::{load_snapshot, save_snapshot, LoadOutcome, SnapshotStats};
 pub use plan::{BackendKind, BackendTable, MatmulPlan, TermPlan};
 pub use prepared::{PreparedSeries, PreparedTerm};
 pub use serving::{
     OverloadPolicy, ResponseHandle, ServingEngine, ServingStats, DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_WAIT_TICKS,
+    DEFAULT_MAX_WAIT,
 };
 pub use shard::{
-    PreparedShard, ShardPolicy, ShardTelemetry, ShardedEngine, ShardedSeries, ShardedTelemetry,
+    PreparedShard, ShardPolicy, ShardTelemetry, ShardedSeries, ShardedTelemetry,
     DEFAULT_SHARD_MIN_ROWS,
 };
-pub use ticker::TickerHandle;
 
 use crate::config::TasdConfig;
 use crate::decompose::decompose;
 use crate::series::TasdSeries;
 use cache::CacheKey;
+use executor::Job;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use sync::lock_or_panic;
-use tasd_tensor::backend::{
-    CsrBackend, DenseBackend, GemmBackend, GemmOperand, NmBackend, ParallelBackend,
-};
+use tasd_tensor::backend::{CsrBackend, DenseBackend, GemmBackend, GemmOperand, NmBackend};
 use tasd_tensor::{Matrix, Result, TensorError};
 
 /// Default decomposition-cache capacity (series). Sized for one model's worth of layers.
@@ -406,8 +376,9 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 128;
 /// [`BackendTable::measured`].
 pub const DEFAULT_DENSE_DENSITY_THRESHOLD: f64 = 0.85;
 
-/// Default estimated-MAC threshold above which a matmul is tiled across threads.
-pub const DEFAULT_MIN_PARALLEL_MACS: u64 = 1 << 21;
+/// Estimated MACs at or above which a matmul's output rows are tiled across the
+/// executor's workers (2²¹ ≈ 2.1M); below it the job handoff outweighs the split.
+const MIN_TILED_MACS: u64 = 1 << 21;
 
 /// Default capacity of the operand-fingerprint memo (distinct operand allocations whose
 /// fingerprints are remembered — and whose storage is pinned — across `submit` calls).
@@ -422,11 +393,9 @@ const PLAN_MEMO_CAPACITY: usize = 4096;
 pub struct EngineBuilder {
     backend: Option<Arc<dyn GemmBackend>>,
     cache_capacity: usize,
-    parallel: bool,
     dense_density_threshold: Option<f64>,
     backend_table: Option<BackendTable>,
     bench_json: Option<std::path::PathBuf>,
-    min_parallel_macs: u64,
     fairness_cap: usize,
     fingerprint_memo_capacity: usize,
     shard_policy: Option<ShardPolicy>,
@@ -438,9 +407,8 @@ pub struct EngineBuilder {
 impl EngineBuilder {
     /// Forces every term through the given backend, disabling density-driven selection
     /// (prepared series then keep every term in its stored structured format — packing
-    /// for a specific kernel would fight the override). The parallelism decision still
-    /// applies (the forced backend is wrapped in a [`ParallelBackend`] when a matmul is
-    /// big enough) unless `parallel(false)` is set.
+    /// for a specific kernel would fight the override). Large matmuls still tile the
+    /// forced backend's row kernel across the executor's workers.
     #[must_use]
     pub fn backend(mut self, backend: Arc<dyn GemmBackend>) -> Self {
         self.backend = Some(backend);
@@ -451,13 +419,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Enables or disables parallel row-block tiling (enabled by default).
-    #[must_use]
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
         self
     }
 
@@ -494,13 +455,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the estimated-MAC threshold above which matmuls are tiled across threads.
-    #[must_use]
-    pub fn min_parallel_macs(mut self, macs: u64) -> Self {
-        self.min_parallel_macs = macs;
-        self
-    }
-
     /// Sets the batch scheduler's fairness cap: the maximum number of admission slots a
     /// request group can wait past its arrival rank before it is admitted regardless of
     /// plan cost (see the [module docs](self)). 0 means strict FIFO.
@@ -524,8 +478,8 @@ impl EngineBuilder {
     /// shard by shard, and executed on the shard worker pool by
     /// [`submit`](ExecutionEngine::submit) and the serving warmup path (see the
     /// "Sharding" section of the [module docs](self)). Unset by default: no operand is
-    /// sharded implicitly. [`ShardedEngine`] shards explicitly regardless of this
-    /// setting.
+    /// sharded implicitly. [`ExecutionEngine::prepare_sharded`] shards explicitly
+    /// regardless of this setting.
     #[must_use]
     pub fn shard_policy(mut self, policy: ShardPolicy) -> Self {
         self.shard_policy = Some(policy);
@@ -543,12 +497,13 @@ impl EngineBuilder {
     }
 
     /// Pins the engine's executor worker count (clamped to at least 1). This is the
-    /// number of threads every parallel job in the engine — shard executions, from any
-    /// number of concurrent callers — shares; it is captured **once**, here, and never
-    /// re-read from the environment on the hot path. Defaults to the available
-    /// parallelism at build time (`rayon::current_num_threads`, which honors
-    /// `RAYON_NUM_THREADS`). Pin it explicitly for deterministic tests or to reserve
-    /// cores for other tenants.
+    /// number of threads every parallel job in the engine — the row tiles of large
+    /// GEMMs and shard executions, from any number of concurrent callers — shares; it is
+    /// captured **once**, here, and never re-read from the environment on the hot path.
+    /// Defaults to the available parallelism at build time (`rayon::current_num_threads`,
+    /// which honors `RAYON_NUM_THREADS`). `workers(1)` is the sequential engine: every
+    /// kernel runs whole on the calling thread, in program order. Pin it explicitly for
+    /// deterministic tests or to reserve cores for other tenants.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
@@ -575,21 +530,6 @@ impl EngineBuilder {
 
     /// Builds the engine.
     pub fn build(self) -> ExecutionEngine {
-        let seq: [Arc<dyn GemmBackend>; 3] = [
-            Arc::new(DenseBackend::default()),
-            Arc::new(CsrBackend::default()),
-            Arc::new(NmBackend::default()),
-        ];
-        // The engine makes the sequential-vs-parallel call during planning, so the
-        // parallel wrappers themselves never bail back to sequential.
-        let par: [Arc<dyn GemmBackend>; 3] = [
-            Arc::new(ParallelBackend::over(seq[0].clone()).with_min_parallel_macs(0)),
-            Arc::new(ParallelBackend::over(seq[1].clone()).with_min_parallel_macs(0)),
-            Arc::new(ParallelBackend::over(seq[2].clone()).with_min_parallel_macs(0)),
-        ];
-        let parallel_override = self.backend.as_ref().map(|b| -> Arc<dyn GemmBackend> {
-            Arc::new(ParallelBackend::over(b.clone()).with_min_parallel_macs(0))
-        });
         let backend_table = match (self.backend_table, self.dense_density_threshold) {
             (Some(table), _) => table,
             (None, threshold) => self
@@ -607,12 +547,12 @@ impl EngineBuilder {
         let workers = self.workers.unwrap_or_else(rayon::current_num_threads);
         ExecutionEngine {
             backend_override: self.backend,
-            parallel_override,
-            sequential: seq,
-            parallel_tiled: par,
-            parallel: self.parallel,
+            backends: [
+                Arc::new(DenseBackend::default()),
+                Arc::new(CsrBackend::default()),
+                Arc::new(NmBackend::default()),
+            ],
             backend_table,
-            min_parallel_macs: self.min_parallel_macs,
             fairness_cap: self.fairness_cap,
             shard_policy: self.shard_policy,
             shard_min_rows: self.shard_min_rows,
@@ -632,10 +572,8 @@ impl Default for EngineBuilder {
         EngineBuilder {
             backend: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            parallel: true,
             dense_density_threshold: None,
             backend_table: None,
-            min_parallel_macs: DEFAULT_MIN_PARALLEL_MACS,
             fairness_cap: DEFAULT_FAIRNESS_CAP,
             fingerprint_memo_capacity: DEFAULT_FINGERPRINT_MEMO_CAPACITY,
             shard_policy: None,
@@ -652,8 +590,8 @@ impl Default for EngineBuilder {
 /// Output widths are bucketed to the next power of two so a serving stream with varying
 /// batch widths reuses a handful of plans instead of one per width; the memoized plan's
 /// `dims.1`/`estimated_macs` refer to the bucket width (execution always uses the actual
-/// RHS width — the plan only pins backend choices and the parallelism decision, neither
-/// of which flips within a 2× width band in practice).
+/// RHS width — the plan only pins backend choices and the tiling decision, neither of
+/// which flips within a 2× width band in practice).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PlanKey {
     fingerprint: u64,
@@ -789,14 +727,9 @@ fn n_cols_bucket(n_cols: usize) -> usize {
 #[derive(Debug)]
 pub struct ExecutionEngine {
     backend_override: Option<Arc<dyn GemmBackend>>,
-    parallel_override: Option<Arc<dyn GemmBackend>>,
-    /// Sequential backends indexed by [`BackendKind`] discriminant order: dense, csr, nm.
-    sequential: [Arc<dyn GemmBackend>; 3],
-    /// The same kernels wrapped in parallel row-block tiling.
-    parallel_tiled: [Arc<dyn GemmBackend>; 3],
-    parallel: bool,
+    /// The kernels indexed by [`BackendKind`] discriminant order: dense, csr, nm.
+    backends: [Arc<dyn GemmBackend>; 3],
     backend_table: BackendTable,
-    min_parallel_macs: u64,
     fairness_cap: usize,
     shard_policy: Option<ShardPolicy>,
     shard_min_rows: usize,
@@ -804,8 +737,9 @@ pub struct ExecutionEngine {
     plans: Mutex<PlanMemo>,
     fingerprints: Mutex<FingerprintMemo>,
     shard_splits: Mutex<shard::ShardSplitMemo>,
-    /// The engine's one worker pool: every parallel job (shard executions from every
-    /// concurrent caller) drains through this queue — nothing spawns per call.
+    /// The engine's one worker pool: every parallel job (GEMM row tiles and shard
+    /// executions, from every concurrent caller) drains through this queue — nothing
+    /// spawns per call.
     executor: executor::Executor,
     counters: PrepCounters,
     /// Armed fault-injection plan ([`EngineBuilder::fault_plan`]); `None` in production.
@@ -875,9 +809,9 @@ impl ExecutionEngine {
     }
 
     fn plan_terms(&self, dims: (usize, usize, usize), terms: Vec<TermPlan>) -> MatmulPlan {
-        let parallel = self.parallel
-            && terms.iter().map(|t| t.estimated_macs).sum::<u64>() >= self.min_parallel_macs
-            && dims.0 >= 2;
+        let parallel = self.executor.workers() > 1
+            && dims.0 >= 2
+            && terms.iter().map(|t| t.estimated_macs).sum::<u64>() >= MIN_TILED_MACS;
         MatmulPlan {
             dims,
             terms,
@@ -1022,32 +956,17 @@ impl ExecutionEngine {
     }
 
     // lint: hot-path, allow(indexing): idx comes from the exhaustive BackendKind match,
-    // and both tables are built with exactly one slot per kind at engine construction
-    fn backend_for_kind(&self, kind: BackendKind, parallel: bool) -> &Arc<dyn GemmBackend> {
+    // and the table is built with exactly one slot per kind at engine construction
+    fn backend_for_kind(&self, kind: BackendKind) -> &dyn GemmBackend {
         if let Some(forced) = &self.backend_override {
-            return if parallel {
-                self.parallel_override
-                    .as_ref()
-                    // lint: allow(panic): EngineBuilder::build always fills this with backend_override
-                    .expect("built with override")
-            } else {
-                forced
-            };
+            return forced.as_ref();
         }
         let idx = match kind {
             BackendKind::Dense => 0,
             BackendKind::Csr => 1,
             BackendKind::Nm => 2,
         };
-        if parallel {
-            &self.parallel_tiled[idx]
-        } else {
-            &self.sequential[idx]
-        }
-    }
-
-    fn backend_for(&self, plan: &MatmulPlan, term: &TermPlan) -> &Arc<dyn GemmBackend> {
-        self.backend_for_kind(term.backend, plan.parallel)
+        self.backends[idx].as_ref()
     }
 
     // ---- Fingerprinting -------------------------------------------------------------
@@ -1240,21 +1159,73 @@ impl ExecutionEngine {
 
     // ---- Execution ------------------------------------------------------------------
 
-    fn check_series_shapes(shape: (usize, usize), b: &Matrix, c: &Matrix) -> Result<()> {
+    fn check_shapes(shape: (usize, usize), b: &Matrix, c: &Matrix) -> Result<()> {
         if shape.1 != b.rows() {
             return Err(TensorError::ShapeMismatch {
-                op: "series gemm",
+                op: "gemm",
                 lhs: shape,
                 rhs: b.shape(),
             });
         }
         if c.rows() != shape.0 || c.cols() != b.cols() {
             return Err(TensorError::ShapeMismatch {
-                op: "series gemm accumulator",
+                op: "gemm accumulator",
                 lhs: (shape.0, b.cols()),
                 rhs: c.shape(),
             });
         }
+        Ok(())
+    }
+
+    /// Executes `C += Σₜ Aₜ·B` over the `(backend, operand)` terms `terms` yields, each
+    /// operand `shape`-shaped: the one execution body of the prepared, raw-series, and
+    /// dense paths. Untiled, every term enters its kernel whole through `gemm_into`. A
+    /// `tiled` plan instead gives each executor worker one contiguous block of output
+    /// rows and runs every term of that block through `gemm_rows_into` in a single
+    /// [`run_all`](executor::Executor::run_all) job, as `execute_shard` does for shards.
+    /// Each output row accumulates the same terms in the same order either way, so
+    /// tiling never changes a bit.
+    // lint: hot-path, warm-path
+    fn gemm_terms_into<'t, I>(
+        &self,
+        tiled: bool,
+        shape: (usize, usize),
+        terms: impl Fn() -> I + Sync,
+        b: &Matrix,
+        c: &mut Matrix,
+    ) -> Result<()>
+    where
+        I: Iterator<Item = (&'t dyn GemmBackend, &'t dyn GemmOperand)>,
+    {
+        Self::check_shapes(shape, b, c)?;
+        let (m, n_cols) = (shape.0, b.cols());
+        let tiles = if tiled {
+            self.executor.workers().min(m)
+        } else {
+            1
+        };
+        if tiles < 2 || n_cols == 0 {
+            for (backend, operand) in terms() {
+                backend.gemm_into(operand, b, c)?;
+            }
+            return Ok(());
+        }
+        let rows = m.div_ceil(tiles);
+        let tile = |r0: usize, slab: &mut [f32]| {
+            for (backend, operand) in terms() {
+                backend.gemm_rows_into(operand, b, r0, r0 + slab.len() / n_cols, slab, n_cols);
+            }
+        };
+        let tile = &tile;
+        // lint: allow(alloc): the job list of a tiled GEMM; with one boxed job per worker
+        // below, it is all a tiled call allocates — per-kernel threading paid a chunk
+        // vector and a thread spawn per block on every call instead
+        let mut jobs: Vec<Job> = Vec::with_capacity(tiles);
+        for (i, slab) in c.rows_slice_mut(0, m).chunks_mut(rows * n_cols).enumerate() {
+            // lint: allow(alloc): one boxed job per worker (see the job list above)
+            jobs.push(Box::new(move || tile(i * rows, slab)));
+        }
+        self.executor.run_all(jobs);
         Ok(())
     }
 
@@ -1267,12 +1238,12 @@ impl ExecutionEngine {
     ///
     /// Returns [`TensorError::ShapeMismatch`] on inconsistent shapes.
     pub fn series_gemm_into(&self, series: &TasdSeries, b: &Matrix, c: &mut Matrix) -> Result<()> {
-        Self::check_series_shapes(series.shape(), b, c)?;
         let plan = self.plan_series(series, b.cols());
-        for (term, term_plan) in series.terms().iter().zip(&plan.terms) {
-            self.backend_for(&plan, term_plan).gemm_into(term, b, c)?;
-        }
-        Ok(())
+        let terms = || {
+            let kinds = plan.terms.iter().map(|t| self.backend_for_kind(t.backend));
+            kinds.zip(series.terms().iter().map(|t| t as &dyn GemmOperand))
+        };
+        self.gemm_terms_into(plan.parallel, series.shape(), terms, b, c)
     }
 
     /// Executes `C = Σᵢ Aᵢ·B` from the raw series (see
@@ -1303,13 +1274,17 @@ impl ExecutionEngine {
         b: &Matrix,
         c: &mut Matrix,
     ) -> Result<()> {
-        Self::check_series_shapes(prepared.shape(), b, c)?;
         let plan = self.plan_prepared(prepared, b.cols());
-        for (i, term) in prepared.terms().iter().enumerate() {
-            self.backend_for_kind(term.backend(), plan.parallel)
-                .gemm_into(prepared.operand(i), b, c)?;
-        }
-        Ok(())
+        let terms = || {
+            let kinds = prepared
+                .terms()
+                .iter()
+                .map(|t| self.backend_for_kind(t.backend()));
+            kinds
+                .enumerate()
+                .map(|(i, backend)| (backend, prepared.operand(i)))
+        };
+        self.gemm_terms_into(plan.parallel, prepared.shape(), terms, b, c)
     }
 
     /// Executes `C = Σᵢ Aᵢ·B` from a prepared series (see
@@ -1347,8 +1322,7 @@ impl ExecutionEngine {
     ///
     /// Returns [`TensorError::ShapeMismatch`] on inconsistent shapes.
     pub fn gemm_into(&self, a: &Matrix, b: &Matrix, c: &mut Matrix) -> Result<()> {
-        let plan = self.plan_gemm(a, b.cols());
-        self.backend_for(&plan, &plan.terms[0]).gemm_into(a, b, c)
+        self.gemm_into_with_plan(a, b, c, &self.plan_gemm(a, b.cols()))
     }
 
     /// [`gemm_into`](Self::gemm_into) with a caller-supplied plan (the batch path reuses
@@ -1362,7 +1336,9 @@ impl ExecutionEngine {
         c: &mut Matrix,
         plan: &MatmulPlan,
     ) -> Result<()> {
-        self.backend_for(plan, &plan.terms[0]).gemm_into(a, b, c)
+        let backend = self.backend_for_kind(plan.terms[0].backend);
+        let terms = || std::iter::once((backend, a as &dyn GemmOperand));
+        self.gemm_terms_into(plan.parallel, a.shape(), terms, b, c)
     }
 
     /// Executes an exact GEMM `C = A·B` through the planned backend.
@@ -1535,13 +1511,74 @@ mod tests {
 
     #[test]
     fn parallel_flag_requires_enough_work() {
-        let e = engine();
+        let e = ExecutionEngine::builder().workers(2).build();
         let small = e.plan_dims(8, 8, 8, 1.0, None);
         assert!(!small.parallel);
         let big = e.plan_dims(1024, 1024, 1024, 1.0, None);
         assert!(big.parallel);
-        let disabled = ExecutionEngine::builder().parallel(false).build();
-        assert!(!disabled.plan_dims(1024, 1024, 1024, 1.0, None).parallel);
+        assert!(
+            !e.plan_dims(1, 1 << 20, 1024, 1.0, None).parallel,
+            "one row cannot tile"
+        );
+        let sequential = ExecutionEngine::builder().workers(1).build();
+        assert!(!sequential.plan_dims(1024, 1024, 1024, 1.0, None).parallel);
+    }
+
+    /// The tiling helper against its own untiled branch, bit for bit. Called directly,
+    /// so shapes far below the tiling threshold still take the tiled branch.
+    #[test]
+    fn row_tiles_are_bitwise_identical_to_the_untiled_path() {
+        use tasd_tensor::backend::CsrBackend;
+        use tasd_tensor::CsrMatrix;
+        let mut gen = MatrixGenerator::seeded(49);
+        let cfg = TasdConfig::parse("2:8+1:8").unwrap();
+        for workers in [2, 3, 4, 8] {
+            let forced: Arc<dyn GemmBackend> = Arc::new(CsrBackend::default());
+            let engines = [
+                ExecutionEngine::builder().workers(workers).build(),
+                ExecutionEngine::builder()
+                    .workers(workers)
+                    .backend(forced)
+                    .build(),
+            ];
+            for e in &engines {
+                // Ragged row counts, m < workers, m = 1, and n ∈ {0, 1}.
+                for (m, n) in [(1, 7), (2, 5), (3, 1), (13, 0), (13, 1), (37, 9), (64, 16)] {
+                    let a = gen.sparse_normal(m, 24, 0.6);
+                    let csr = CsrMatrix::from_dense(&a);
+                    let series = decompose(&a, &cfg);
+                    let b = gen.normal(24, n, 0.0, 1.0);
+                    for kind in [BackendKind::Dense, BackendKind::Csr, BackendKind::Nm] {
+                        let backend = e.backend_for_kind(kind);
+                        // Every operand format through this kernel, then a two-term
+                        // series: each row accumulates four terms in order.
+                        let formats: [&dyn GemmOperand; 2] = [&a, &csr];
+                        let terms = || {
+                            let series_terms = series.terms().iter().map(|t| t as &dyn GemmOperand);
+                            formats
+                                .into_iter()
+                                .chain(series_terms)
+                                .map(|t| (backend, t))
+                        };
+                        // A non-zero start checks accumulation, not overwrite.
+                        let start = gen.normal(m, n, 0.0, 1.0);
+                        let mut untiled = start.clone();
+                        e.gemm_terms_into(false, (m, 24), terms, &b, &mut untiled)
+                            .unwrap();
+                        let mut tiled = start;
+                        e.gemm_terms_into(true, (m, 24), terms, &b, &mut tiled)
+                            .unwrap();
+                        assert_eq!(
+                            tiled,
+                            untiled,
+                            "{workers} workers, {m}x{n}, {kind:?} slot, {} kernel",
+                            backend.name()
+                        );
+                    }
+                }
+                assert_eq!(e.pool_threads(), workers - 1, "one pool, spawned once");
+            }
+        }
     }
 
     #[test]

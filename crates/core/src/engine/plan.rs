@@ -390,7 +390,8 @@ pub struct MatmulPlan {
     pub dims: (usize, usize, usize),
     /// Per-term assignments, in series order. A dense (undecomposed) GEMM has one entry.
     pub terms: Vec<TermPlan>,
-    /// Whether the engine will tile this matmul's row blocks across threads.
+    /// Whether the engine will tile this matmul's output rows across its executor's
+    /// workers (enough estimated MACs, at least two rows, more than one worker).
     pub parallel: bool,
     /// Name of the forced backend when the engine was built with an explicit
     /// [`backend`](super::EngineBuilder::backend) override; `None` under automatic

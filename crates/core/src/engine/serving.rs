@@ -15,12 +15,11 @@
 //!    [`max_batch`](ServingEngine::with_max_batch) requests (a dispatch trigger — the
 //!    closing drain takes everything pending, so a window can exceed it under
 //!    concurrent enqueue), when the oldest enqueued request has waited
-//!    [`max_wait`](ServingEngine::with_max_wait) logical
-//!    [`tick`](ServingEngine::tick)s, or when anyone calls
-//!    [`flush`](ServingEngine::flush) / blocks on [`ResponseHandle::wait`]. Until it
-//!    closes, late arrivals keep joining — that is the whole point: a window of `w`
-//!    ticks turns `k` stragglers against one operand into **one** decomposition and one
-//!    packed kernel pass instead of `k`.
+//!    [`max_wait`](ServingEngine::with_max_wait) on the session [`Clock`], or when
+//!    anyone calls [`flush`](ServingEngine::flush) / blocks on
+//!    [`ResponseHandle::wait`]. Until it closes, late arrivals keep joining — that is
+//!    the whole point: a window of `max_wait` turns `k` stragglers against one operand
+//!    into **one** decomposition and one packed kernel pass instead of `k`.
 //! 3. **Group + execute** — a closing window is handed to the engine's batch executor
 //!    verbatim: the same grouping key `(fingerprint, shape, config)`, the same
 //!    shortest-plan-first admission under the fairness cap, the same packed multi-RHS
@@ -36,20 +35,24 @@
 //! [`Executor`](super::ExecutionEngine::workers) — never on per-call threads — so any
 //! number of serving threads drive exactly one worker pool.
 //!
-//! # Window ownership: who ticks?
+//! # Window ownership: who closes an aged window?
 //!
-//! [`tick`](ServingEngine::tick) is deliberately caller-driven logical time — tests
-//! step it deterministically. But a deployment must give the clock an **owner**:
-//! without one, a request parked with `max_wait > 0` and no follow-up traffic waits
-//! forever (nobody ticks, nobody flushes, and a poll-only caller never closes the
-//! window). [`spawn_ticker`](ServingEngine::spawn_ticker) is that owner — a background
-//! thread ticking every `interval` of wall-clock time, bounding window-close latency by
-//! `max_wait × interval` real time regardless of caller behavior. With a ticker
-//! running, [`ResponseHandle::wait_without_dispatch`] becomes safe: a response consumer
-//! (e.g. a network connection's writer thread) can block on delivery without collapsing
-//! the window the way [`wait`](ResponseHandle::wait) would. Sessions driven purely by
-//! logical ticks (tests, simulations) simply never spawn one — `tick()` semantics are
-//! unchanged either way.
+//! Window age and request deadlines read one timeline, the session [`Clock`]: every
+//! parked request records `clock.now()` at enqueue, and the window is due once its
+//! oldest request has waited `max_wait`. Age alone closes nothing, though — someone
+//! must look. [`dispatch_due`](ServingEngine::dispatch_due) is that look, callable by
+//! anyone: tests step a [`MockClock`](super::MockClock) and call it, so window timing
+//! stays deterministic. A deployment gives the window an **owner** instead:
+//! [`spawn_dispatcher`](ServingEngine::spawn_dispatcher) starts one background thread
+//! that sleeps on a condvar paired with the session lock — woken by
+//! [`enqueue`](ServingEngine::enqueue) when a window opens — until the oldest parked
+//! request is due, then closes the window. An idle session costs it no wake-ups at
+//! all, and a window closes `max_wait` after its first request, not on the next
+//! poll. Without an owner, a request parked with no follow-up traffic waits until its
+//! own caller blocks in [`wait`](ResponseHandle::wait). With one running,
+//! [`ResponseHandle::wait_without_dispatch`] becomes safe: a response consumer (e.g. a
+//! network connection's writer thread) can block on delivery without collapsing the
+//! window the way `wait` would.
 //!
 //! # Determinism
 //!
@@ -59,15 +62,6 @@
 //! identical to unsharded (the [`shard` module](super::shard) contract), so window
 //! composition, admission order, and executor placement are all invisible in the
 //! results — the concurrency stress suite (`tests/serving_async.rs`) locks this down.
-//!
-//! # Migrating from `submit`
-//!
-//! [`ServingEngine::submit`] is `submit` re-expressed as one forced window: it drains
-//! the open window, then runs the given requests as a single window of their own,
-//! returning the same responses and the same [`BatchTelemetry`] the engine-level call
-//! returns (serialized with the dispatcher, so it composes with concurrent enqueuers).
-//! Code that owns its batches can keep calling either; code that wants coalescing
-//! switches to `enqueue` + handles and lets the window do the batching.
 //!
 //! # Deadlines, overload, and shutdown
 //!
@@ -87,11 +81,12 @@
 use super::batch::{describe_panic, BatchRequest, BatchResponse, BatchTelemetry, ServingError};
 use super::clock::{Clock, MonotonicClock};
 use super::faults::FaultSite;
-use super::sync::{lock_or_panic, wait_or_panic};
+use super::sync::{lock_or_panic, wait_or_panic, wait_timeout_or_panic};
 use super::ExecutionEngine;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -99,24 +94,29 @@ use std::time::Duration;
 /// requests (matches the largest batch the serving bench gates).
 pub const DEFAULT_MAX_BATCH: usize = 32;
 
-/// Default window age limit, in logical ticks: the open window dispatches when its
-/// oldest request has waited this many [`ServingEngine::tick`]s.
-pub const DEFAULT_MAX_WAIT_TICKS: u64 = 2;
+/// Default window age limit: the open window dispatches once its oldest request has
+/// waited this long on the session [`Clock`].
+pub const DEFAULT_MAX_WAIT: Duration = Duration::from_millis(1);
 
 /// One request parked in the open window.
 struct Pending {
     request: BatchRequest,
     slot: Arc<ResponseSlot>,
-    enqueued_at: u64,
+    /// Session-clock reading at enqueue: the window's age is its oldest entry's.
+    enqueued_at: Duration,
 }
 
 /// The session state behind one serving engine (shared by all of its clones and
 /// handles).
 struct ServingShared {
     engine: Arc<ExecutionEngine>,
-    /// The session's deadline time source (monotonic in production, stepped in tests).
+    /// The session's one timeline for deadlines and window age (monotonic in
+    /// production, stepped in tests).
     clock: Arc<dyn Clock>,
     state: Mutex<SessionState>,
+    /// Paired with `state`: dispatchers sleep on it until a window opens or its oldest
+    /// request is due ([`ServingEngine::spawn_dispatcher`]).
+    window_opened: Condvar,
     /// Serializes window execution: whoever closes a window runs it alone, while
     /// enqueuers keep filling the next window.
     dispatch: Mutex<()>,
@@ -124,7 +124,6 @@ struct ServingShared {
 
 struct SessionState {
     pending: VecDeque<Pending>,
-    clock: u64,
     next_id: u64,
     /// Set by [`ServingEngine::drain`] / [`ServingEngine::shutdown`]: admission is
     /// closed, every later enqueue resolves to [`ServingError::ShuttingDown`].
@@ -137,7 +136,7 @@ struct SessionState {
 pub struct ServingStats {
     /// Requests accepted by [`enqueue`](ServingEngine::enqueue).
     pub enqueued: u64,
-    /// Requests dispatched through closed windows (including `submit` windows).
+    /// Requests dispatched through closed windows.
     pub dispatched: u64,
     /// Windows executed.
     pub windows: u64,
@@ -145,7 +144,9 @@ pub struct ServingStats {
     pub coalesced_windows: u64,
     /// Largest window executed so far.
     pub max_window: usize,
-    /// Logical clock advances ([`tick`](ServingEngine::tick) calls).
+    /// Window-age checks: how often a dispatcher or
+    /// [`dispatch_due`](ServingEngine::dispatch_due) compared an open window's oldest
+    /// request against `max_wait`.
     pub ticks: u64,
     /// Requests rejected at enqueue with [`ServingError::QueueFull`] (bounded queue).
     pub rejected_full: u64,
@@ -305,7 +306,7 @@ impl ResponseHandle {
     /// dispatched yet, `wait` closes the open window first (exactly like
     /// [`ServingEngine::flush`]), so a caller that enqueues and immediately waits gets
     /// per-request latency, never a hang — at the cost of the coalescing a patient
-    /// ticker would have won.
+    /// dispatcher would have won.
     pub fn wait(self) -> BatchResponse {
         if !self.slot.is_ready() {
             dispatch_window(&self.shared);
@@ -318,14 +319,14 @@ impl ResponseHandle {
     ///
     /// Where [`wait`](Self::wait) trades coalescing for a latency bound (a lone waiter
     /// closes the window itself), `wait_without_dispatch` preserves the window and
-    /// trusts someone else to own it: the session's background ticker
-    /// ([`spawn_ticker`](ServingEngine::spawn_ticker)), another enqueuer, or an explicit
-    /// [`flush`](ServingEngine::flush). This is what a network writer thread uses — it
-    /// delivers responses in order without collapsing every window to size 1.
+    /// trusts someone else to own it: the session's dispatcher
+    /// ([`spawn_dispatcher`](ServingEngine::spawn_dispatcher)), another enqueuer, or an
+    /// explicit [`flush`](ServingEngine::flush). This is what a network writer thread
+    /// uses — it delivers responses in order without collapsing every window to size 1.
     ///
-    /// **Caution:** on a session with no window owner (no ticker, no other traffic),
-    /// this call blocks until one appears. Use [`wait`](Self::wait) when this handle's
-    /// caller is the only actor.
+    /// **Caution:** on a session with no window owner (no dispatcher, no other
+    /// traffic), this call blocks until one appears. Use [`wait`](Self::wait) when this
+    /// handle's caller is the only actor.
     pub fn wait_without_dispatch(self) -> BatchResponse {
         self.slot.wait_take()
     }
@@ -350,21 +351,15 @@ impl ResponseHandle {
 }
 
 /// Closes and executes the open window (no-op when it is empty), returning its
-/// telemetry. See the [module docs](self) for the lifecycle.
+/// telemetry: drain, execute, record, deliver, serialized by the dispatch lock. The
+/// drain takes **everything** pending at close time — under concurrent enqueue a
+/// window can therefore exceed `max_batch`, which is a dispatch *trigger*, not a drain
+/// cap (see [`ServingEngine::with_max_batch`]); capping the drain instead would strand
+/// the tail past a blocking waiter's close and hang it. See the [module docs](self)
+/// for the lifecycle.
 // lint: hot-path
 fn dispatch_window(shared: &Arc<ServingShared>) -> Option<BatchTelemetry> {
     let _guard = lock_or_panic(&shared.dispatch, "dispatch");
-    dispatch_locked(shared)
-}
-
-/// The window close itself: drain, execute, record, deliver. Callers hold the dispatch
-/// lock (the `_guard` above, or [`ServingEngine::submit_with_telemetry`]'s). The drain
-/// takes **everything** pending at close time — under concurrent enqueue a window can
-/// therefore exceed `max_batch`, which is a dispatch *trigger*, not a drain cap (see
-/// [`ServingEngine::with_max_batch`]); capping the drain instead would strand the tail
-/// past a blocking waiter's close and hang it.
-// lint: hot-path
-fn dispatch_locked(shared: &Arc<ServingShared>) -> Option<BatchTelemetry> {
     let now = shared.clock.now();
     let window: Vec<Pending> = {
         let mut state = lock_or_panic(&shared.state, "serving session");
@@ -450,30 +445,30 @@ fn record_window(shared: &ServingShared, size: usize) {
 /// the [module docs](self) for the lifecycle and contracts.
 ///
 /// Cloning is cheap and shares the session: clones enqueue into the same windows,
-/// drive the same clock, and report the same [`stats`](Self::stats) — hand one clone
+/// read the same clock, and report the same [`stats`](Self::stats) — hand one clone
 /// to each serving thread. (Window parameters are per-clone, but configure them before
 /// sharing to keep one policy per session.)
 #[derive(Debug, Clone)]
 pub struct ServingEngine {
     shared: Arc<ServingShared>,
     max_batch: usize,
-    max_wait: u64,
+    max_wait: Duration,
     queue_capacity: Option<usize>,
     overload: OverloadPolicy,
 }
 
 impl ServingEngine {
     /// A serving session over `engine`, with the default window
-    /// ([`DEFAULT_MAX_WAIT_TICKS`], [`DEFAULT_MAX_BATCH`]) and a wall-clock
-    /// [`MonotonicClock`] for deadlines. Any number of sessions may share one engine —
-    /// they share its caches and its executor.
+    /// ([`DEFAULT_MAX_WAIT`], [`DEFAULT_MAX_BATCH`]) and a wall-clock
+    /// [`MonotonicClock`] for window age and deadlines. Any number of sessions may share
+    /// one engine — they share its caches and its executor.
     pub fn over(engine: Arc<ExecutionEngine>) -> Self {
         ServingEngine::over_with_clock(engine, Arc::new(MonotonicClock::new()))
     }
 
-    /// A serving session over `engine` reading deadlines from `clock` — inject a
-    /// [`MockClock`](super::MockClock) to make deadline behavior deterministic in
-    /// tests (step it instead of sleeping).
+    /// A serving session over `engine` reading window age and deadlines from `clock` —
+    /// inject a [`MockClock`](super::MockClock) to make both deterministic in tests
+    /// (step it and call [`dispatch_due`](Self::dispatch_due) instead of sleeping).
     pub fn over_with_clock(engine: Arc<ExecutionEngine>, clock: Arc<dyn Clock>) -> Self {
         ServingEngine {
             shared: Arc::new(ServingShared {
@@ -481,15 +476,15 @@ impl ServingEngine {
                 clock,
                 state: Mutex::new(SessionState {
                     pending: VecDeque::new(),
-                    clock: 0,
                     next_id: 0,
                     closed: false,
                     stats: ServingStats::default(),
                 }),
+                window_opened: Condvar::new(),
                 dispatch: Mutex::new(()),
             }),
             max_batch: DEFAULT_MAX_BATCH,
-            max_wait: DEFAULT_MAX_WAIT_TICKS,
+            max_wait: DEFAULT_MAX_WAIT,
             queue_capacity: None,
             overload: OverloadPolicy::default(),
         }
@@ -510,13 +505,14 @@ impl ServingEngine {
         self
     }
 
-    /// Sets the window age limit in logical ticks: a [`tick`](Self::tick) dispatches
-    /// the open window once its oldest request has waited this many ticks. 0 disables
+    /// Sets the window age limit on the session [`Clock`]: the open window is due once
+    /// its oldest request has waited `max_wait` (closed by the session's dispatcher or
+    /// by [`dispatch_due`](Self::dispatch_due)). [`Duration::ZERO`] disables
     /// batching-by-time entirely — every enqueue dispatches immediately (per-request
-    /// mode).
+    /// mode); [`Duration::MAX`] never closes a window by age.
     #[must_use]
-    pub fn with_max_wait(mut self, max_wait_ticks: u64) -> Self {
-        self.max_wait = max_wait_ticks;
+    pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
+        self.max_wait = max_wait;
         self
     }
 
@@ -551,8 +547,8 @@ impl ServingEngine {
         self.max_batch
     }
 
-    /// The configured window age limit, in ticks.
-    pub fn max_wait(&self) -> u64 {
+    /// The configured window age limit.
+    pub fn max_wait(&self) -> Duration {
         self.max_wait
     }
 
@@ -566,7 +562,7 @@ impl ServingEngine {
         self.overload
     }
 
-    /// The session clock's current reading — the timeline
+    /// The session clock's current reading — the timeline window age and
     /// [`BatchRequest::with_deadline`] deadlines are expressed on.
     pub fn now(&self) -> Duration {
         self.shared.clock.now()
@@ -592,7 +588,8 @@ impl ServingEngine {
 
     /// Enqueues one request into the open window and returns its handle. Dispatches the
     /// window when it reaches [`max_batch`](Self::with_max_batch) (or immediately, when
-    /// [`max_wait`](Self::with_max_wait) is 0).
+    /// [`max_wait`](Self::with_max_wait) is zero); otherwise a request that opens a
+    /// window wakes the session's dispatchers.
     ///
     /// Admission can refuse the request — session closed
     /// ([`ServingError::ShuttingDown`]) or bounded queue full
@@ -616,11 +613,7 @@ impl ServingEngine {
         let slot = Arc::new(ResponseSlot::new());
         // Read the clock before the session lock: the clock has its own lock (mock
         // clocks) and stays un-nested under the session's.
-        let now = if self.queue_capacity.is_some() {
-            Some(self.shared.clock.now())
-        } else {
-            None
-        };
+        let now = self.shared.clock.now();
         let mut state = lock_or_panic(&self.shared.state, "serving session");
         let id = state.next_id;
         state.next_id += 1;
@@ -637,7 +630,6 @@ impl ServingEngine {
         }
         if let Some(cap) = self.queue_capacity {
             if state.pending.len() >= cap && self.overload == OverloadPolicy::ShedExpiredFirst {
-                let now = now.unwrap_or_default();
                 // Split borrow: walk `pending` while bumping `stats` on the same guard.
                 let st = &mut *state;
                 let parked: Vec<Pending> = st.pending.drain(..).collect();
@@ -667,39 +659,97 @@ impl ServingEngine {
             }
         }
         state.stats.enqueued += 1;
-        let enqueued_at = state.clock;
         state.pending.push_back(Pending {
             request,
             slot,
-            enqueued_at,
+            enqueued_at: now,
         });
-        let full = state.pending.len() >= self.max_batch || self.max_wait == 0;
+        let opened = state.pending.len() == 1;
+        let full = state.pending.len() >= self.max_batch || self.max_wait.is_zero();
         drop(state);
+        if opened && !full {
+            self.shared.window_opened.notify_all();
+        }
         (handle, full)
     }
 
-    /// Advances the session's logical clock by one tick and dispatches the open window
-    /// if its oldest request has now waited [`max_wait`](Self::with_max_wait) ticks.
-    /// Returns `true` if a window was dispatched.
-    ///
-    /// Ticks are *logical* time, driven by the caller (a poll loop, a request-arrival
-    /// heartbeat, a test): the session never spawns a timer thread on its own, so
-    /// window timing stays deterministic and testable. Production deployments opt into
-    /// wall-clock ticking with [`spawn_ticker`](Self::spawn_ticker), which makes a
-    /// background thread this method's sole caller.
+    /// How long the open window has left at `now` before its oldest request is due:
+    /// `Some(ZERO)` once due, `None` when no window is open or it never ages out
+    /// ([`Duration::MAX`]). Every look at an open window counts one
+    /// [`ServingStats::ticks`] check.
     // lint: hot-path
-    pub fn tick(&self) -> bool {
+    fn time_to_due(&self, state: &mut SessionState, now: Duration) -> Option<Duration> {
+        let oldest = state.pending.front()?.enqueued_at;
+        state.stats.ticks += 1;
+        if self.max_wait == Duration::MAX {
+            return None;
+        }
+        let due_at = oldest.saturating_add(self.max_wait);
+        Some(due_at.saturating_sub(now))
+    }
+
+    /// Dispatches the open window if its oldest request has waited
+    /// [`max_wait`](Self::with_max_wait) on the session [`Clock`]; returns `true` if a
+    /// window was dispatched. This is the same age check a dispatcher
+    /// ([`spawn_dispatcher`](Self::spawn_dispatcher)) makes when it wakes; tests step a
+    /// [`MockClock`](super::MockClock) and call it directly.
+    // lint: hot-path
+    pub fn dispatch_due(&self) -> bool {
+        let now = self.shared.clock.now();
         let due = {
             let mut state = lock_or_panic(&self.shared.state, "serving session");
-            state.clock += 1;
-            state.stats.ticks += 1;
-            let clock = state.clock;
-            state
-                .pending
-                .front()
-                .is_some_and(|oldest| clock - oldest.enqueued_at >= self.max_wait)
+            self.time_to_due(&mut state, now) == Some(Duration::ZERO)
         };
         due && dispatch_window(&self.shared).is_some()
+    }
+
+    /// The dispatcher thread's loop: sleep on the session condvar until a window opens
+    /// or its oldest request is due, close it, repeat — until `stop` is set (see
+    /// [`stop_dispatcher`](Self::stop_dispatcher)).
+    // lint: hot-path
+    pub(super) fn dispatch_until(&self, stop: &AtomicBool) {
+        let shared = &self.shared;
+        loop {
+            // Read the clock before the session lock: the clock has its own lock (mock
+            // clocks) and stays un-nested under the session's.
+            let now = shared.clock.now();
+            let mut state = lock_or_panic(&shared.state, "serving session");
+            if stop.load(Ordering::Acquire) {
+                return;
+            }
+            match self.time_to_due(&mut state, now) {
+                // Due: release the session lock first — the window close takes the
+                // dispatch lock, which orders before it.
+                Some(left) if left.is_zero() => {
+                    drop(state);
+                    dispatch_window(shared);
+                }
+                Some(left) => {
+                    drop(wait_timeout_or_panic(
+                        &shared.window_opened,
+                        state,
+                        left,
+                        "serving session",
+                    ));
+                }
+                None => drop(wait_or_panic(
+                    &shared.window_opened,
+                    state,
+                    "serving session",
+                )),
+            }
+        }
+    }
+
+    /// Sets `stop` under the session lock and wakes every dispatcher, so a dispatcher
+    /// between its stop check and its wait cannot miss the signal. Runs from a
+    /// handle's `Drop`, so it never panics: a poisoned session lock means the
+    /// dispatcher has already died on it.
+    pub(super) fn stop_dispatcher(&self, stop: &AtomicBool) {
+        let state = self.shared.state.lock();
+        stop.store(true, Ordering::Release);
+        drop(state);
+        self.shared.window_opened.notify_all();
     }
 
     /// Closes and executes the open window now, whatever its age or size. Returns the
@@ -750,40 +800,13 @@ impl ServingEngine {
         drop(lock_or_panic(&self.shared.dispatch, "dispatch"));
         abandoned
     }
-
-    /// Synchronous batch execution through the session: drains the open window, then
-    /// runs `requests` as one window of their own — responses in request order, plus
-    /// that window's [`BatchTelemetry`]. This is the [`ExecutionEngine::submit`]
-    /// contract verbatim (same grouping, scheduling, telemetry, bitwise-identical
-    /// results), serialized with the session's dispatcher.
-    pub fn submit_with_telemetry(
-        &self,
-        requests: Vec<BatchRequest>,
-    ) -> (Vec<BatchResponse>, BatchTelemetry) {
-        let _guard = lock_or_panic(&self.shared.dispatch, "dispatch");
-        // Close the open window first (same code path as the dispatcher) so parked
-        // strangers do not interleave with this batch's responses.
-        let _ = dispatch_locked(&self.shared);
-        let n = requests.len();
-        let out = self.shared.engine.submit_with_telemetry(requests);
-        if n > 0 {
-            // An empty submit is not a window — dispatch_locked does not count empty
-            // opens either, so the window-quality ratios stay honest.
-            record_window(&self.shared, n);
-        }
-        out
-    }
-
-    /// [`submit_with_telemetry`](Self::submit_with_telemetry) without the telemetry.
-    pub fn submit(&self, requests: Vec<BatchRequest>) -> Vec<BatchResponse> {
-        self.submit_with_telemetry(requests).0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::TasdConfig;
+    use crate::engine::MockClock;
     use tasd_tensor::MatrixGenerator;
 
     fn serving(cache_capacity: usize) -> ServingEngine {
@@ -806,13 +829,22 @@ mod tests {
     fn window_holds_until_max_wait_then_coalesces() {
         let mut gen = MatrixGenerator::seeded(61);
         let a = Arc::new(gen.sparse_normal(32, 32, 0.8));
+        let clock = Arc::new(MockClock::new());
         // Cache-less engine: decomposition count measures coalescing directly.
-        let s = serving(0).with_max_wait(2).with_max_batch(100);
+        let engine = ExecutionEngine::builder().cache_capacity(0).build();
+        let s = ServingEngine::over_with_clock(Arc::new(engine), clock.clone())
+            .with_max_wait(Duration::from_millis(2))
+            .with_max_batch(100);
         let h1 = s.enqueue(request(&mut gen, &a));
-        assert!(!s.tick(), "age 1 < max_wait 2: window stays open");
+        clock.advance(Duration::from_millis(1));
+        assert!(
+            !s.dispatch_due(),
+            "age 1 ms < max_wait 2 ms: window stays open"
+        );
         assert!(!h1.is_ready());
         let h2 = s.enqueue(request(&mut gen, &a)); // late arrival joins the window
-        assert!(s.tick(), "age 2 = max_wait: window dispatches");
+        clock.advance(Duration::from_millis(1));
+        assert!(s.dispatch_due(), "age 2 ms = max_wait: window dispatches");
         assert!(h1.is_ready() && h2.is_ready());
         assert_eq!(
             s.engine().prep_stats().prepares,
@@ -824,14 +856,35 @@ mod tests {
         assert_eq!(stats.coalesced_windows, 1);
         assert_eq!(stats.dispatched, 2);
         assert_eq!(stats.max_window, 2);
+        assert_eq!(stats.ticks, 2, "two age checks of the open window");
         assert!(h1.try_take().is_ok());
+        assert!(!s.dispatch_due(), "an empty window is never due");
+        assert_eq!(s.stats().ticks, 2, "no window, nothing to check");
+    }
+
+    #[test]
+    fn max_wait_max_never_closes_a_window_by_age() {
+        let mut gen = MatrixGenerator::seeded(60);
+        let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
+        let clock = Arc::new(MockClock::new());
+        let engine = Arc::new(ExecutionEngine::builder().build());
+        let s = ServingEngine::over_with_clock(engine, clock.clone()).with_max_wait(Duration::MAX);
+        clock.advance(Duration::from_secs(1));
+        let h = s.enqueue(request(&mut gen, &a));
+        // No overflow from `enqueued_at + max_wait`, however far the clock runs.
+        clock.advance(Duration::from_secs(1 << 40));
+        assert!(!s.dispatch_due());
+        clock.set(Duration::MAX);
+        assert!(!s.dispatch_due(), "Duration::MAX is never reached by age");
+        assert!(!h.is_ready());
+        assert!(h.wait().output.is_ok(), "wait still closes the window");
     }
 
     #[test]
     fn full_window_dispatches_on_enqueue() {
         let mut gen = MatrixGenerator::seeded(62);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8).with_max_batch(2).with_max_wait(100);
+        let s = serving(8).with_max_batch(2).with_max_wait(Duration::MAX);
         let h1 = s.enqueue(request(&mut gen, &a));
         assert!(!h1.is_ready());
         assert_eq!(s.pending(), 1);
@@ -847,9 +900,9 @@ mod tests {
     fn max_wait_zero_is_per_request_mode() {
         let mut gen = MatrixGenerator::seeded(63);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8).with_max_wait(0);
+        let s = serving(8).with_max_wait(Duration::ZERO);
         let h = s.enqueue(request(&mut gen, &a));
-        assert!(h.is_ready(), "max_wait 0 dispatches on enqueue");
+        assert!(h.is_ready(), "max_wait zero dispatches on enqueue");
         assert_eq!(s.stats().windows, 1);
         assert_eq!(s.stats().coalesced_windows, 0);
     }
@@ -858,7 +911,7 @@ mod tests {
     fn wait_closes_the_window_instead_of_hanging() {
         let mut gen = MatrixGenerator::seeded(64);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8); // default window: 2 ticks, 32 requests — nobody else ticks
+        let s = serving(8).with_max_wait(Duration::MAX); // no dispatcher, no other traffic
         let h = s.enqueue(request(&mut gen, &a));
         let response = h.wait();
         assert!(response.output.is_ok());
@@ -881,33 +934,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_drains_the_open_window_first() {
-        let mut gen = MatrixGenerator::seeded(66);
-        let a = Arc::new(gen.sparse_normal(24, 24, 0.7));
-        let s = serving(8).with_max_wait(100).with_max_batch(100);
-        let parked = s.enqueue(request(&mut gen, &a));
-        let (responses, telemetry) =
-            s.submit_with_telemetry(vec![request(&mut gen, &a), request(&mut gen, &a)]);
-        assert_eq!(responses.len(), 2);
-        assert_eq!(
-            telemetry.requests, 2,
-            "telemetry covers the submit window only"
-        );
-        assert!(parked.is_ready(), "submit must not strand parked requests");
-        assert_eq!(s.stats().windows, 2, "parked window + submit window");
-    }
-
-    #[test]
-    fn empty_submit_is_not_a_window() {
-        let s = serving(8);
-        let (responses, telemetry) = s.submit_with_telemetry(Vec::new());
-        assert!(responses.is_empty());
-        assert_eq!(telemetry.requests, 0);
-        assert_eq!(s.stats().windows, 0, "an empty submit must not count");
-        assert_eq!(s.stats().dispatched, 0);
-    }
-
-    #[test]
     fn handles_deliver_exactly_once() {
         let mut gen = MatrixGenerator::seeded(67);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
@@ -923,7 +949,7 @@ mod tests {
         let mut gen = MatrixGenerator::seeded(68);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
         let s = serving(8)
-            .with_max_wait(100)
+            .with_max_wait(Duration::MAX)
             .with_max_batch(100)
             .with_queue_capacity(2);
         let h1 = s.enqueue(request(&mut gen, &a));
@@ -946,7 +972,7 @@ mod tests {
     fn cancel_skips_execution_and_resolves_the_handle() {
         let mut gen = MatrixGenerator::seeded(69);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8).with_max_wait(100).with_max_batch(100);
+        let s = serving(8).with_max_wait(Duration::MAX).with_max_batch(100);
         let h = s.enqueue(request(&mut gen, &a));
         let kept = s.enqueue(request(&mut gen, &a));
         assert!(h.cancel(), "first cancel wins the slot");
@@ -969,7 +995,7 @@ mod tests {
         // (kernel time nobody can observe) and `shutdown` counted it as abandoned.
         let mut gen = MatrixGenerator::seeded(72);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8).with_max_wait(100).with_max_batch(100);
+        let s = serving(8).with_max_wait(Duration::MAX).with_max_batch(100);
         let cancelled = s.enqueue(request(&mut gen, &a));
         let kept = s.enqueue(request(&mut gen, &a));
         assert!(cancelled.cancel());
@@ -999,7 +1025,7 @@ mod tests {
     fn shutdown_abandons_parked_and_closes_admission() {
         let mut gen = MatrixGenerator::seeded(70);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8).with_max_wait(100).with_max_batch(100);
+        let s = serving(8).with_max_wait(Duration::MAX).with_max_batch(100);
         let parked = s.enqueue(request(&mut gen, &a));
         assert_eq!(s.shutdown(), 1);
         assert!(s.is_closed());
@@ -1017,7 +1043,7 @@ mod tests {
     fn drain_executes_parked_then_closes() {
         let mut gen = MatrixGenerator::seeded(71);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8).with_max_wait(100).with_max_batch(100);
+        let s = serving(8).with_max_wait(Duration::MAX).with_max_batch(100);
         let parked = s.enqueue(request(&mut gen, &a));
         let telemetry = s.drain().expect("drain executes the parked window");
         assert_eq!(telemetry.requests, 1);

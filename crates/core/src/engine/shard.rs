@@ -18,9 +18,9 @@
 //! the property `tests/sharding.rs` locks down across backends, sparsities, and shard
 //! counts — while buying two serving-scale wins:
 //!
-//! 1. **Shard-level parallelism**: shards run on independent workers, each writing its
-//!    own disjoint slab of the output (no synchronization beyond the final join), on top
-//!    of whatever the per-kernel row tiling already does.
+//! 1. **Shard-level parallelism**: shards run as jobs on the engine's executor, each
+//!    writing its own disjoint slab of the output (no synchronization beyond the final
+//!    join).
 //! 2. **Shard-local planning**: each shard is planned from *its own* density. A dense
 //!    band of rows inside a globally-sparse matrix plans (and packs) dense, while the
 //!    sparse remainder stays on a sparse kernel — a strictly finer-grained use of the
@@ -34,6 +34,7 @@
 //! and zero operand rescans — with one cache hit per shard.
 
 use super::cache::CacheKey;
+use super::executor::Job;
 use super::prepared::PreparedSeries;
 use super::sync::lock_or_panic;
 use super::ExecutionEngine;
@@ -364,6 +365,33 @@ impl ExecutionEngine {
     /// and exactly one cache lookup per shard; shard rows are re-extracted from `a` only
     /// for shards whose cache entry is missing (cold or evicted). Telemetry contract:
     /// each returned shard records whether its lookup hit.
+    ///
+    /// This is the explicit sharding surface: it shards whatever it is handed, however
+    /// small. The implicit one is the engine's own routing
+    /// ([`EngineBuilder::shard_policy`](super::EngineBuilder::shard_policy) +
+    /// [`shard_min_rows`](super::EngineBuilder::shard_min_rows)), which applies a policy
+    /// only to oversized operands inside [`submit`](ExecutionEngine::submit) and the
+    /// serving warmup path.
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use tasd::{ExecutionEngine, ShardPolicy, TasdConfig};
+    /// use tasd_tensor::MatrixGenerator;
+    ///
+    /// let engine = ExecutionEngine::builder().build();
+    /// let mut gen = MatrixGenerator::seeded(9);
+    /// let a = Arc::new(gen.sparse_normal(64, 32, 0.9));
+    /// let b = gen.normal(32, 8, 0.0, 1.0);
+    /// let cfg = TasdConfig::parse("2:8+1:8").unwrap();
+    ///
+    /// let sharded = engine.prepare_sharded(&a, &cfg, &ShardPolicy::NnzBalanced(4));
+    /// assert_eq!(sharded.num_shards(), 4);
+    /// let c = engine.series_gemm_sharded(&sharded, &b).unwrap();
+    ///
+    /// // Bitwise identical to the unsharded prepared path on the same engine.
+    /// let unsharded = engine.prepare_shared(&a, &cfg);
+    /// assert_eq!(c, engine.series_gemm_prepared(&unsharded, &b).unwrap());
+    /// ```
     pub fn prepare_sharded(
         &self,
         a: &Arc<Matrix>,
@@ -533,11 +561,7 @@ impl ExecutionEngine {
         // Worker count captured once at engine construction (`EngineBuilder::workers`):
         // placement never depends on when the call runs, and the environment is never
         // re-probed on the hot path.
-        let workers = if self.parallel {
-            self.executor().workers().clamp(1, jobs.len().max(1))
-        } else {
-            1
-        };
+        let workers = self.executor().workers().clamp(1, jobs.len().max(1));
         if workers <= 1 {
             for (idx, shard, slab) in jobs {
                 let ns = self.execute_shard(shard, b, slab, n_cols, timed);
@@ -569,7 +593,7 @@ impl ExecutionEngine {
             // sharded batches interleave on one pool instead of each spawning their
             // own scoped threads. Shards are independent and write disjoint slabs, so
             // placement changes under load while results stay bitwise identical.
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
+            let tasks: Vec<Job> = chunks
                 .into_iter()
                 .zip(chunk_timings.iter_mut())
                 .map(|(batch, out)| {
@@ -578,7 +602,7 @@ impl ExecutionEngine {
                             out.push((idx, self.execute_shard(shard, b, slab, n_cols, timed)));
                         }
                     };
-                    Box::new(task) as Box<dyn FnOnce() + Send + '_>
+                    Box::new(task) as Job
                 })
                 .collect();
             self.executor().run_all(tasks);
@@ -605,7 +629,7 @@ impl ExecutionEngine {
         let rows = shard.range.1 - shard.range.0;
         let start = timed.then(Instant::now);
         for (i, term) in shard.prepared.terms().iter().enumerate() {
-            self.backend_for_kind(term.backend(), false).gemm_rows_into(
+            self.backend_for_kind(term.backend()).gemm_rows_into(
                 shard.prepared.operand(i),
                 b,
                 0,
@@ -628,104 +652,6 @@ impl ExecutionEngine {
         } else {
             let _ = self.prepare_shared(a, config);
         }
-    }
-}
-
-/// A sharding front-end over an [`ExecutionEngine`]: pins one [`ShardPolicy`] and
-/// prepares/executes operands through the engine's shared caches and worker pool.
-///
-/// This is the explicit-opt-in surface — it shards every operand handed to it, however
-/// small. The implicit surface is the engine's own routing
-/// ([`EngineBuilder::shard_policy`](super::EngineBuilder::shard_policy) +
-/// [`shard_min_rows`](super::EngineBuilder::shard_min_rows)), which applies the policy
-/// only to oversized operands inside [`submit`](ExecutionEngine::submit) and the serving
-/// warmup path.
-///
-/// ```
-/// use std::sync::Arc;
-/// use tasd::{ExecutionEngine, ShardPolicy, ShardedEngine, TasdConfig};
-/// use tasd_tensor::MatrixGenerator;
-///
-/// let engine = Arc::new(ExecutionEngine::builder().build());
-/// let sharder = ShardedEngine::new(Arc::clone(&engine), ShardPolicy::NnzBalanced(4));
-///
-/// let mut gen = MatrixGenerator::seeded(9);
-/// let a = Arc::new(gen.sparse_normal(64, 32, 0.9));
-/// let b = gen.normal(32, 8, 0.0, 1.0);
-/// let cfg = TasdConfig::parse("2:8+1:8").unwrap();
-///
-/// let sharded = sharder.prepare(&a, &cfg);
-/// assert_eq!(sharded.num_shards(), 4);
-/// let c = sharder.series_gemm(&sharded, &b).unwrap();
-///
-/// // Bitwise identical to the unsharded prepared path on the same engine.
-/// let unsharded = engine.prepare_shared(&a, &cfg);
-/// assert_eq!(c, engine.series_gemm_prepared(&unsharded, &b).unwrap());
-/// ```
-#[derive(Debug, Clone)]
-pub struct ShardedEngine {
-    engine: Arc<ExecutionEngine>,
-    policy: ShardPolicy,
-}
-
-impl ShardedEngine {
-    /// A sharding front-end over `engine` splitting every operand under `policy`.
-    pub fn new(engine: Arc<ExecutionEngine>, policy: ShardPolicy) -> Self {
-        ShardedEngine { engine, policy }
-    }
-
-    /// The underlying engine (shared caches, backends, worker pool).
-    pub fn engine(&self) -> &Arc<ExecutionEngine> {
-        &self.engine
-    }
-
-    /// The pinned shard policy.
-    pub fn policy(&self) -> &ShardPolicy {
-        &self.policy
-    }
-
-    /// Splits and prepares `a` under this front-end's policy (see
-    /// [`ExecutionEngine::prepare_sharded`]).
-    pub fn prepare(&self, a: &Arc<Matrix>, config: &TasdConfig) -> ShardedSeries {
-        self.engine.prepare_sharded(a, config, &self.policy)
-    }
-
-    /// Executes a prepared sharded series (see
-    /// [`ExecutionEngine::series_gemm_sharded`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] on inconsistent shapes.
-    pub fn series_gemm(&self, sharded: &ShardedSeries, b: &Matrix) -> Result<Matrix> {
-        self.engine.series_gemm_sharded(sharded, b)
-    }
-
-    /// [`series_gemm`](Self::series_gemm) with per-shard telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] on inconsistent shapes.
-    pub fn series_gemm_with_telemetry(
-        &self,
-        sharded: &ShardedSeries,
-        b: &Matrix,
-    ) -> Result<(Matrix, ShardedTelemetry)> {
-        self.engine.series_gemm_sharded_with_telemetry(sharded, b)
-    }
-
-    /// Prepares and executes `C ≈ A·B` sharded, end to end.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] on inconsistent shapes.
-    pub fn decompose_gemm(
-        &self,
-        a: &Arc<Matrix>,
-        config: &TasdConfig,
-        b: &Matrix,
-    ) -> Result<Matrix> {
-        let sharded = self.prepare(a, config);
-        self.series_gemm(&sharded, b)
     }
 }
 

@@ -48,7 +48,7 @@
 //!
 //! let engine = ExecutionEngine::builder()
 //!     .cache_capacity(64)   // decompositions memoized by (fingerprint, config)
-//!     .parallel(true)       // big matmuls tile row blocks across threads
+//!     .workers(2)           // big matmuls tile output rows across two workers
 //!     .build();
 //!
 //! let mut gen = MatrixGenerator::seeded(0);
@@ -86,11 +86,11 @@ pub use decompose::{decompose, decompose_with_residual};
 pub use engine::{
     load_snapshot, save_snapshot, BackendKind, BackendTable, BatchRequest, BatchResponse,
     BatchTelemetry, CacheEntryStats, CacheStats, Clock, DecompositionCache, DeployError,
-    DeployReport, EngineBuilder, ExecutionEngine, FaultKind, FaultPlan, FaultRecord, FaultSite,
-    FaultyBackend, Generation, GroupTelemetry, LoadOutcome, MatmulPlan, MockClock, MonotonicClock,
-    OverloadPolicy, PrepStats, PreparedSeries, PreparedShard, PreparedTerm, ResponseHandle,
-    ServingEngine, ServingError, ServingStats, ShardPolicy, ShardTelemetry, ShardedEngine,
-    ShardedSeries, ShardedTelemetry, SnapshotStats, TermPlan, TickerHandle, WeightStore,
+    DeployReport, DispatcherHandle, EngineBuilder, ExecutionEngine, FaultKind, FaultPlan,
+    FaultRecord, FaultSite, FaultyBackend, Generation, GroupTelemetry, LoadOutcome, MatmulPlan,
+    MockClock, MonotonicClock, OverloadPolicy, PrepStats, PreparedSeries, PreparedShard,
+    PreparedTerm, ResponseHandle, ServingEngine, ServingError, ServingStats, ShardPolicy,
+    ShardTelemetry, ShardedSeries, ShardedTelemetry, SnapshotStats, TermPlan, WeightStore,
 };
 pub use series::{series_gemm, series_gemm_into, DecompositionReport, TasdSeries};
 

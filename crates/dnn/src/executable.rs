@@ -622,7 +622,7 @@ mod tests {
         let csr_only = ExecutionEngine::builder()
             .backend(std::sync::Arc::new(tasd_tensor::CsrBackend::default()))
             .build();
-        let sequential = ExecutionEngine::builder().parallel(false).build();
+        let sequential = ExecutionEngine::builder().workers(1).build();
         assert!(mlp.forward(&csr_only, &x).approx_eq(&default, 1e-5));
         assert!(mlp.forward(&sequential, &x).approx_eq(&default, 1e-5));
     }

@@ -1,8 +1,8 @@
 //! `tasd-serve` — the network serving daemon.
 //!
 //! ```text
-//! tasd-serve [--addr 127.0.0.1:7474] [--max-batch 32] [--max-wait 2]
-//!            [--tick-us 1000] [--queue-cap N] [--shed] [--max-frame-mb 64]
+//! tasd-serve [--addr 127.0.0.1:7474] [--max-batch 32] [--max-wait-us 1000]
+//!            [--queue-cap N] [--shed] [--max-frame-mb 64]
 //! ```
 //!
 //! Runs until a `Shutdown` control frame arrives (the supervisor-friendly stop path;
@@ -16,8 +16,8 @@ use tasd_serve::{Server, ServerConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tasd-serve [--addr HOST:PORT] [--max-batch N] [--max-wait TICKS] \
-         [--tick-us MICROS] [--queue-cap N] [--shed] [--max-frame-mb MIB]"
+        "usage: tasd-serve [--addr HOST:PORT] [--max-batch N] [--max-wait-us MICROS] \
+         [--queue-cap N] [--shed] [--max-frame-mb MIB]"
     );
     ExitCode::FAILURE
 }
@@ -47,12 +47,8 @@ fn main() -> ExitCode {
                 Some(value) => config.max_batch = value,
                 None => return usage(),
             },
-            "--max-wait" => match parse(&mut args, "--max-wait") {
-                Some(value) => config.max_wait_ticks = value,
-                None => return usage(),
-            },
-            "--tick-us" => match parse::<u64>(&mut args, "--tick-us") {
-                Some(value) => config.tick_interval = Duration::from_micros(value),
+            "--max-wait-us" => match parse::<u64>(&mut args, "--max-wait-us") {
+                Some(value) => config.max_wait = Duration::from_micros(value),
                 None => return usage(),
             },
             "--queue-cap" => match parse(&mut args, "--queue-cap") {

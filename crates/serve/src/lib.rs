@@ -5,9 +5,9 @@
 //! * [`wire`] — the length-prefixed binary frame format (requests, responses,
 //!   structured error frames, session control) with a hardened, panic-free decoder;
 //! * [`server`] — the server: one shared serving session, a per-connection
-//!   reader/writer thread pair, and a background [`TickerHandle`] that owns the
-//!   session's logical clock so window-close latency is bounded by wall-clock
-//!   `max_wait × tick_interval` no matter what clients do;
+//!   reader/writer thread pair, and a background [`DispatcherHandle`] that closes each
+//!   window once its oldest request has waited `max_wait` (`--max-wait-us`) on the
+//!   session clock, no matter what clients do;
 //! * [`client`] — a minimal blocking client for tests and tools;
 //! * [`loadgen`] — a closed-loop load generator that replays mixed-shape traffic and
 //!   reports p50/p95/p99 latency and throughput.
@@ -35,7 +35,7 @@
 //! violation (bytes that do not decode) closes the connection, and even that is
 //! preceded by a [`BadFrame`](wire::ErrorCode::BadFrame) error frame.
 //!
-//! [`TickerHandle`]: tasd::TickerHandle
+//! [`DispatcherHandle`]: tasd::DispatcherHandle
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -10,15 +10,16 @@
 //!                           writer thread (per connection)
 //!                               waits each handle passively, encodes the answer
 //!
-//! ticker thread (one, TickerHandle) — owns ServingEngine::tick()
+//! dispatcher thread (one, DispatcherHandle) — closes each window once its oldest
+//!                                             request has waited max_wait
 //! ```
 //!
 //! The writer waits with [`wait_without_dispatch`](tasd::ResponseHandle::wait_without_dispatch):
 //! it must **not** force-close the open window (that would defeat cross-connection
-//! coalescing), and it does not need to — the background ticker guarantees every
-//! window closes within `max_wait × tick_interval` of wall-clock time. This is the
-//! network-facing fix for the unowned-ticker latency bug (see
-//! `tasd::engine::ticker`).
+//! coalescing), and it does not need to — the dispatcher closes every window about
+//! `max_wait` after its first request, on the session clock. It sleeps until a window
+//! opens and then until that window is due, so an idle server has no timer thread
+//! waking up (see `tasd::engine::dispatcher`).
 //!
 //! # Ordering guarantee
 //!
@@ -46,9 +47,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use tasd::engine::{DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT};
 use tasd::{
-    load_snapshot, save_snapshot, BatchRequest, DeployError, ExecutionEngine, LoadOutcome,
-    OverloadPolicy, ResponseHandle, ServingEngine, SnapshotStats, TasdConfig, TickerHandle,
+    load_snapshot, save_snapshot, BatchRequest, DeployError, DispatcherHandle, ExecutionEngine,
+    LoadOutcome, OverloadPolicy, ResponseHandle, ServingEngine, SnapshotStats, TasdConfig,
     WeightStore,
 };
 
@@ -62,11 +64,9 @@ use crate::wire::{
 pub struct ServerConfig {
     /// Window-closing batch size ([`ServingEngine::with_max_batch`]).
     pub max_batch: usize,
-    /// Window-closing tick budget ([`ServingEngine::with_max_wait`]).
-    pub max_wait_ticks: u64,
-    /// Wall-clock interval between background ticks; a parked window therefore closes
-    /// within `max_wait_ticks × tick_interval` of real time.
-    pub tick_interval: Duration,
+    /// Window age limit on the session clock ([`ServingEngine::with_max_wait`]): the
+    /// dispatcher closes a window once its oldest request has waited this long.
+    pub max_wait: Duration,
     /// Bounded admission queue, if any ([`ServingEngine::with_queue_capacity`]).
     pub queue_capacity: Option<usize>,
     /// What a full queue does with new arrivals.
@@ -78,9 +78,8 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            max_batch: 32,
-            max_wait_ticks: 2,
-            tick_interval: Duration::from_millis(1),
+            max_batch: DEFAULT_MAX_BATCH,
+            max_wait: DEFAULT_MAX_WAIT,
             queue_capacity: None,
             overload: OverloadPolicy::RejectNew,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
@@ -127,12 +126,12 @@ impl ServerShared {
 }
 
 /// A running `tasd-serve` instance: accept loop, per-connection threads, and the
-/// background ticker that owns the session's logical clock.
+/// background dispatcher that owns the session's open window.
 pub struct Server {
     shared: Arc<ServerShared>,
     local_addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
-    ticker: Option<TickerHandle>,
+    dispatcher: Option<DispatcherHandle>,
     stopped: bool,
 }
 
@@ -148,7 +147,7 @@ impl std::fmt::Debug for Server {
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port), builds a fresh
     /// [`ExecutionEngine`] + serving session shaped by `config`, spawns the accept
-    /// loop and the background ticker, and returns immediately.
+    /// loop and the background dispatcher, and returns immediately.
     pub fn bind(addr: impl ToSocketAddrs, config: ServerConfig) -> io::Result<Server> {
         let engine = Arc::new(ExecutionEngine::builder().build());
         Server::bind_over(addr, config, engine)
@@ -191,12 +190,12 @@ impl Server {
         let store = Arc::new(WeightStore::new(Arc::clone(&engine)));
         let mut session = ServingEngine::over(engine)
             .with_max_batch(config.max_batch)
-            .with_max_wait(config.max_wait_ticks)
+            .with_max_wait(config.max_wait)
             .with_overload_policy(config.overload);
         if let Some(capacity) = config.queue_capacity {
             session = session.with_queue_capacity(capacity);
         }
-        let ticker = session.spawn_ticker(config.tick_interval);
+        let dispatcher = session.spawn_dispatcher();
         let shared = Arc::new(ServerShared {
             session,
             store,
@@ -217,7 +216,7 @@ impl Server {
             shared,
             local_addr,
             accept_thread: Some(accept_thread),
-            ticker: Some(ticker),
+            dispatcher: Some(dispatcher),
             stopped: false,
         })
     }
@@ -275,7 +274,7 @@ impl Server {
     /// Stops the server: shuts the session down (parked requests resolve to
     /// `ShuttingDown` error frames, in-flight windows finish), unblocks and joins the
     /// accept loop, closes every connection after its writer flushed, and stops the
-    /// ticker. Idempotent.
+    /// dispatcher. Idempotent.
     pub fn shutdown(&mut self) {
         if self.stopped {
             return;
@@ -305,8 +304,8 @@ impl Server {
         for (_, thread) in live {
             let _ = thread.join();
         }
-        if let Some(ticker) = self.ticker.take() {
-            ticker.stop();
+        if let Some(dispatcher) = self.dispatcher.take() {
+            dispatcher.stop();
         }
     }
 }
@@ -562,7 +561,7 @@ fn writer_loop(stream: TcpStream, rx: mpsc::Receiver<WriterMsg>) {
     for msg in rx {
         let frame = match msg {
             WriterMsg::Deliver { id, handle } => {
-                // Passive wait: the ticker owns window dispatch, so waiting here must
+                // Passive wait: the dispatcher owns window close, so waiting here must
                 // not force-close the open window (which would defeat coalescing).
                 let response = handle.wait_without_dispatch();
                 match response.output {

@@ -1,4 +1,4 @@
-//! Pluggable GEMM backends: one trait, four kernels, one seam.
+//! Pluggable GEMM backends: one trait, three kernels, one seam.
 //!
 //! Everything in this repository that multiplies a (possibly sparse, possibly compressed)
 //! left-hand operand by a dense right-hand matrix goes through [`GemmBackend`]. The trait
@@ -14,7 +14,12 @@
 //!   output column, driven off each format's native row entries.
 //! * [`NmBackend`] — structured N:M kernel consuming compressed (values + lane metadata)
 //!   operands directly, the software analogue of a sparse-tensor-core datapath.
-//! * [`ParallelBackend`] — row-block tiling across threads over *any* inner backend.
+//!
+//! Every backend also exposes its row-range kernel
+//! ([`gemm_rows_into`](GemmBackend::gemm_rows_into)). Backends run on the caller's
+//! thread: spreading a GEMM's rows over threads is the execution engine's job (the
+//! `tasd` crate tiles large GEMMs over its one resident worker pool), so this crate
+//! spawns nothing.
 //!
 //! Every kernel's inner loop is an 8-wide f32 SIMD microkernel from the [`simd`] layer
 //! (re-exported here as [`SimdLevel`]): the instruction tier — 256-bit AVX/FMA on x86-64
@@ -35,22 +40,28 @@
 //! # Example
 //!
 //! ```
-//! use tasd_tensor::backend::{DenseBackend, GemmBackend, ParallelBackend};
+//! use tasd_tensor::backend::{CsrBackend, DenseBackend, GemmBackend};
 //! use tasd_tensor::{CsrMatrix, Matrix, MatrixGenerator};
 //!
 //! let mut gen = MatrixGenerator::seeded(1);
 //! let a = gen.sparse_normal(64, 64, 0.8);
 //! let b = gen.normal(64, 32, 0.0, 1.0);
 //!
-//! let dense = DenseBackend::default();
-//! let parallel = ParallelBackend::default();
 //! let csr = CsrMatrix::from_dense(&a);
 //!
 //! let mut c1 = Matrix::zeros(64, 32);
 //! let mut c2 = Matrix::zeros(64, 32);
-//! dense.gemm_into(&a, &b, &mut c1).unwrap();
-//! parallel.gemm_into(&csr, &b, &mut c2).unwrap(); // any backend × any operand
+//! let csr_backend = CsrBackend::default();
+//! DenseBackend::default().gemm_into(&csr, &b, &mut c1).unwrap(); // any backend × any operand
+//! csr_backend.gemm_into(&csr, &b, &mut c2).unwrap();
 //! assert!(c1.approx_eq(&c2, 1e-4));
+//!
+//! // The row-range kernel: the same product, one row block at a time, bit for bit.
+//! let mut c3 = Matrix::zeros(64, 32);
+//! for (r0, r1) in [(0, 24), (24, 64)] {
+//!     csr_backend.gemm_rows_into(&csr, &b, r0, r1, c3.rows_slice_mut(r0, r1), 32);
+//! }
+//! assert_eq!(c2, c3);
 //! ```
 
 mod csr;
@@ -59,7 +70,6 @@ mod multi;
 mod nm;
 mod operand;
 mod packed;
-mod parallel;
 pub mod simd;
 
 pub use csr::CsrBackend;
@@ -68,7 +78,6 @@ pub use multi::{pack_panels, unpack_panels, unpack_panels_into};
 pub use nm::NmBackend;
 pub use operand::GemmOperand;
 pub use packed::{PackedKind, PackedOperand};
-pub use parallel::ParallelBackend;
 pub use simd::SimdLevel;
 
 use crate::{Matrix, Result, TensorError};
@@ -96,7 +105,7 @@ impl CostHint {
 /// A GEMM execution strategy: computes `C += A · B` for any [`GemmOperand`] `A`.
 ///
 /// Implementations must be [`Sync`] + [`Send`]: the engine shares one backend across
-/// threads, and [`ParallelBackend`] drives inner backends from worker threads.
+/// threads and drives its row-range kernel from worker threads.
 ///
 /// # Zero annihilation (non-finite contract)
 ///
@@ -129,9 +138,10 @@ pub trait GemmBackend: fmt::Debug + Sync + Send {
     /// Row-block kernel: computes `C[r0..r1] += lhs[r0..r1, :] · b` into the contiguous
     /// row-major slab `c_rows` (length `(r1 - r0) * n_cols`).
     ///
-    /// This is the unit of work [`ParallelBackend`] distributes; shape checking happens
-    /// once in [`GemmBackend::gemm_into`], so implementations may assume consistent
-    /// arguments and panic otherwise.
+    /// This is the unit of work the execution engine distributes over its workers (row
+    /// tiles and shards); shape checking happens once up front ([`GemmBackend::gemm_into`]
+    /// or the engine's own check), so implementations may assume consistent arguments
+    /// and panic otherwise.
     fn gemm_rows_into(
         &self,
         lhs: &dyn GemmOperand,
@@ -264,10 +274,6 @@ mod tests {
             Box::new(DenseBackend::default()),
             Box::new(CsrBackend::default()),
             Box::new(NmBackend::default()),
-            Box::new(ParallelBackend::default()),
-            Box::new(ParallelBackend::over(std::sync::Arc::new(
-                CsrBackend::default(),
-            ))),
         ]
     }
 

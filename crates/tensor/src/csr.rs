@@ -165,8 +165,8 @@ impl CsrMatrix {
 
     /// Row-range SpMM kernel: `C[r0..r1] += self[r0..r1, :] * B`, where `c_rows` is the
     /// contiguous row-major slab covering output rows `[r0, r1)` with `n_cols` columns.
-    /// This is the format-native kernel the GEMM backends (and their parallel row-block
-    /// tiling) drive.
+    /// This is the format-native kernel the GEMM backends (and the execution engine's
+    /// row tiles) drive.
     ///
     /// # Panics
     ///

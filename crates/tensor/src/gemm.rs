@@ -6,8 +6,8 @@
 //! error relative to these results.
 //!
 //! They are deliberately the *simple* kernels — an i-k-j scalar loop with zero skipping.
-//! The production kernels (cache-blocked dense, format-native sparse, and parallel
-//! row-block tiling) live in [`crate::backend`] and are validated against these.
+//! The production kernels (cache-blocked dense and format-native sparse) live in
+//! [`crate::backend`] and are validated against these.
 
 use crate::{Matrix, Result, TensorError};
 

@@ -13,8 +13,8 @@
 //! * [`CsrMatrix`] — compressed sparse row storage for unstructured sparse baselines.
 //! * Reference GEMM kernels for dense, CSR and structured N:M operands ([`gemm`]).
 //! * [`backend`] — the pluggable [`GemmBackend`] execution layer: cache-blocked dense,
-//!   CSR, native N:M, and parallel row-block kernels behind one trait, over any
-//!   [`GemmOperand`]. All production matmul traffic dispatches through it.
+//!   CSR, and native N:M kernels behind one trait, over any [`GemmOperand`]. All
+//!   production matmul traffic dispatches through it.
 //! * [`im2col`] lowering so convolution layers can be executed and counted as GEMMs.
 //! * Norms, error metrics, random sparse-matrix generators, and sparsity statistics.
 //!
@@ -47,7 +47,7 @@ pub mod stats;
 
 pub use backend::{
     CostHint, CsrBackend, DenseBackend, GemmBackend, GemmOperand, NmBackend, PackedKind,
-    PackedOperand, ParallelBackend,
+    PackedOperand,
 };
 pub use csr::CsrMatrix;
 pub use error::TensorError;

@@ -211,8 +211,8 @@ impl NmCompressed {
 
     /// Row-range SpMM kernel: `C[r0..r1] += self[r0..r1, :] * B`, where `c_rows` is the
     /// contiguous row-major slab covering output rows `[r0, r1)` with `n_cols` columns.
-    /// This is the format-native kernel the GEMM backends (and their parallel row-block
-    /// tiling) drive; it performs one MAC per stored value per output column.
+    /// This is the format-native kernel the GEMM backends (and the execution engine's
+    /// row tiles) drive; it performs one MAC per stored value per output column.
     ///
     /// # Panics
     ///

@@ -6,25 +6,21 @@
 //! agree far beyond mere approximation: the only rounding difference the runtime SIMD
 //! dispatch can introduce is the fused multiply-add of the AVX/FMA tiers (one rounding
 //! per step instead of two), bounded per element by ~1 ulp per reduction step. The
-//! agreement tolerance therefore scales as `1e-6 · k` with the reduction depth `k`;
-//! the parallel backend is additionally bit-identical to its sequential inner backend.
+//! agreement tolerance therefore scales as `1e-6 · k` with the reduction depth `k`.
+//! (The engine's row tiling has its own bitwise differential suite:
+//! `tests/parallel_stress.rs` and the engine's unit tests.)
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use tasd::{ExecutionEngine, TasdConfig};
-use tasd_tensor::backend::{CsrBackend, DenseBackend, GemmBackend, NmBackend, ParallelBackend};
+use tasd_tensor::backend::{CsrBackend, DenseBackend, GemmBackend, NmBackend};
 use tasd_tensor::{gemm, CsrMatrix, Matrix, MatrixGenerator, NmCompressed, NmPattern};
 
-/// The backends under test: the four families, plus parallel tiling over each sparse
-/// kernel (not just the default dense inner).
+/// The backends under test: the three kernel families.
 fn backends() -> Vec<Box<dyn GemmBackend>> {
     vec![
         Box::new(DenseBackend::default()),
         Box::new(CsrBackend::default()),
         Box::new(NmBackend::default()),
-        Box::new(ParallelBackend::default().with_min_parallel_macs(0)),
-        Box::new(ParallelBackend::over(Arc::new(CsrBackend::default())).with_min_parallel_macs(0)),
-        Box::new(ParallelBackend::over(Arc::new(NmBackend::default())).with_min_parallel_macs(0)),
     ]
 }
 
@@ -39,7 +35,7 @@ fn run(backend: &dyn GemmBackend, lhs: &dyn tasd_tensor::GemmOperand, b: &Matrix
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Dense, CSR, N:M, and parallel backends agree within 1e-6 per reduction step on
+    /// Dense, CSR, and N:M backends agree within 1e-6 per reduction step on
     /// seeded random matrices across sparsities 0.0–0.97, whatever format the operand
     /// arrives in. (The depth-scaled bound covers the FMA tiers' fused rounding; at the
     /// portable tier the kernels are bitwise-scalar — see `tests/simd_kernels.rs`.)
@@ -79,22 +75,6 @@ proptest! {
                 "{name} diverged on an N:M operand ({rows}x{cols}, sparsity {sparsity:.2})"
             );
         }
-    }
-
-    /// The parallel backend is bit-identical to its sequential inner backend: row-block
-    /// tiling must not change any output row's accumulation order.
-    #[test]
-    fn parallel_tiling_is_bit_identical_to_sequential(
-        (rows, cols) in (1usize..96, 1usize..64),
-        sparsity in 0.0f64..0.97,
-        seed in 0u64..1_000,
-    ) {
-        let mut gen = MatrixGenerator::seeded(seed);
-        let a = gen.sparse_normal(rows, cols, sparsity);
-        let b = gen.normal(cols, 24, 0.0, 1.0);
-        let inner: Arc<dyn GemmBackend> = Arc::new(DenseBackend::default());
-        let parallel = ParallelBackend::over(inner.clone()).with_min_parallel_macs(0);
-        prop_assert_eq!(run(inner.as_ref(), &a, &b), run(&parallel, &a, &b));
     }
 
     /// The engine's full planned path (decompose → per-term backend choice → execute)

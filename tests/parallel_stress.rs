@@ -1,122 +1,121 @@
-//! Multi-thread stress tests for `ParallelBackend` row-block tiling.
+//! Multi-thread stress tests for the engine's row tiling on its resident executor.
 //!
-//! The PR-1 CI container had a single CPU, so the parallel path had never actually run
-//! with >1 worker. These tests force 4 and 8 workers via `RAYON_NUM_THREADS` (the
-//! workspace's rayon shim reads it per call) and check 50 random cases per thread count
-//! against both the sequential inner backend (bitwise — row-block tiling must not change
-//! accumulation order) and the scalar reference `gemm` (within tolerance — the blocked
-//! dense kernel reorders reductions).
+//! A GEMM whose plan estimates at least 2²¹ MACs gives each executor worker one
+//! contiguous block of output rows and runs every term of that block in one job. Each
+//! output row accumulates the same terms in the same order however the rows are split,
+//! so these tests demand **bitwise** equality between `.workers(1)` — the sequential
+//! engine — and `.workers(w)` on every execution path, plus the pool contract: tiling
+//! spawns the executor's `workers − 1` threads once, never per call.
 //!
-//! On a 1-CPU machine thread count cannot actually vary, so each test self-skips through
-//! [`tasd_bench::testing::require_parallelism`] with a logged reason — no `#[ignore]`, no
-//! separate `--ignored` CI invocation to forget. Multi-core runners execute them in the
-//! ordinary `cargo test` run.
+//! Worker counts are pinned with `EngineBuilder::workers`, so the pool threads are real
+//! on any host, a single-CPU one included.
 
-use std::sync::{Arc, Mutex};
-use tasd_tensor::backend::{CsrBackend, DenseBackend, GemmBackend, NmBackend, ParallelBackend};
-use tasd_tensor::{gemm, CsrMatrix, Matrix, MatrixGenerator};
+use proptest::prelude::*;
+use std::sync::Arc;
+use tasd::{BatchRequest, ExecutionEngine, TasdConfig};
+use tasd_tensor::{Matrix, MatrixGenerator};
 
-/// `RAYON_NUM_THREADS` is process-global and the harness runs tests on concurrent
-/// threads: every test that mutates it must hold this lock for its whole run, so one
-/// test's `set_var` never races another's workers reading the variable.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// 50 random (shape, sparsity) cases per run, sized to produce uneven row blocks.
-fn stress_cases(gen: &mut MatrixGenerator) -> Vec<(Matrix, Matrix)> {
-    (0..50)
-        .map(|i| {
-            let m = 17 + (i * 13) % 180;
-            let k = 9 + (i * 29) % 140;
-            let n = 1 + (i * 7) % 40;
-            let sparsity = (i as f64 * 0.019) % 0.98;
-            let a = gen.sparse_normal(m, k, sparsity);
-            let b = gen.normal(k, n, 0.0, 1.0);
-            (a, b)
-        })
+fn outputs(engine: &ExecutionEngine, requests: Vec<BatchRequest>) -> Vec<Matrix> {
+    engine
+        .submit(requests)
+        .into_iter()
+        .map(|r| r.output.unwrap())
         .collect()
 }
 
-fn run_stress(threads: usize) {
-    let _guard = ENV_LOCK.lock().expect("env lock");
-    // The vendored rayon shim reads RAYON_NUM_THREADS on every call, so this reliably
-    // varies the worker count mid-process (real rayon would need a scoped pool instead).
-    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-    let mut gen = MatrixGenerator::seeded(0xBEEF + threads as u64);
-    let inners: [Arc<dyn GemmBackend>; 3] = [
-        Arc::new(DenseBackend::default()),
-        Arc::new(CsrBackend::default()),
-        Arc::new(NmBackend::default()),
-    ];
-    for (case, (a, b)) in stress_cases(&mut gen).iter().enumerate() {
-        let reference = gemm(a, b).unwrap();
-        let csr = CsrMatrix::from_dense(a);
-        for inner in &inners {
-            let parallel = ParallelBackend::over(Arc::clone(inner)).with_min_parallel_macs(0);
-            for (label, operand) in [("dense", a as &dyn tasd_tensor::GemmOperand), ("csr", &csr)] {
-                let mut par = Matrix::zeros(a.rows(), b.cols());
-                parallel.gemm_into(operand, b, &mut par).unwrap();
-                let mut seq = Matrix::zeros(a.rows(), b.cols());
-                inner.gemm_into(operand, b, &mut seq).unwrap();
-                assert_eq!(
-                    par,
-                    seq,
-                    "case {case} ({threads} threads, {} over {label}): tiling changed results",
-                    inner.name()
-                );
-                assert!(
-                    par.approx_eq(&reference, 1e-3),
-                    "case {case} ({threads} threads, {} over {label}): drifted from scalar gemm",
-                    inner.name()
-                );
-            }
-        }
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Above the tiling threshold, a `w`-worker engine agrees bitwise with the
+    /// sequential engine through `series_gemm_prepared`, raw `series_gemm`, dense
+    /// `gemm`, and `submit` (one decomposed and one dense group).
+    #[test]
+    fn tiled_paths_are_bitwise_identical_to_sequential(
+        m in 200usize..=320,
+        workers in 2usize..=8,
+        sparsity in 0.3f64..0.6,
+        seed in 0u64..1_000,
+    ) {
+        let mut gen = MatrixGenerator::seeded(seed);
+        let a = Arc::new(gen.sparse_normal(m, 512, sparsity));
+        let b = gen.normal(512, 96, 0.0, 1.0);
+        let cfg = TasdConfig::parse("2:8+1:8").unwrap();
+        let sequential = ExecutionEngine::builder().workers(1).build();
+        let tiled = ExecutionEngine::builder().workers(workers).build();
+
+        let prepared = tiled.prepare_shared(&a, &cfg);
+        // Every path below must actually take the tiled branch.
+        prop_assert!(tiled.plan_prepared(&prepared, b.cols()).parallel);
+        prop_assert!(tiled.plan_series(prepared.series(), b.cols()).parallel);
+        prop_assert!(tiled.plan_gemm(&a, b.cols()).parallel);
+        prop_assert!(!sequential.plan_gemm(&a, b.cols()).parallel);
+
+        let reference = sequential.prepare_shared(&a, &cfg);
+        prop_assert_eq!(
+            tiled.series_gemm_prepared(&prepared, &b).unwrap(),
+            sequential.series_gemm_prepared(&reference, &b).unwrap()
+        );
+        prop_assert_eq!(
+            tiled.series_gemm(prepared.series(), &b).unwrap(),
+            sequential.series_gemm(reference.series(), &b).unwrap()
+        );
+        prop_assert_eq!(tiled.gemm(&a, &b).unwrap(), sequential.gemm(&a, &b).unwrap());
+        let requests = vec![
+            BatchRequest::decomposed(Arc::clone(&a), cfg.clone(), b.clone()),
+            BatchRequest::dense(Arc::clone(&a), b.clone()),
+        ];
+        prop_assert_eq!(outputs(&tiled, requests.clone()), outputs(&sequential, requests));
+        prop_assert_eq!(tiled.pool_threads(), workers - 1);
     }
-    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
 #[test]
-fn four_and_eight_thread_tiling_agrees_with_scalar_kernel() {
-    if !tasd_bench::testing::require_parallelism(
-        2,
-        "four_and_eight_thread_tiling_agrees_with_scalar_kernel",
-    ) {
-        return;
+fn fifty_large_gemms_spawn_the_pool_once() {
+    let workers = 3;
+    let engine = ExecutionEngine::builder().workers(workers).build();
+    let mut gen = MatrixGenerator::seeded(0x7115);
+    let a = gen.sparse_normal(256, 512, 0.5);
+    let b = gen.normal(512, 64, 0.0, 1.0);
+    let prepared = engine.prepare(&a, &TasdConfig::parse("4:8").unwrap());
+    assert!(engine.plan_gemm(&a, b.cols()).parallel);
+    assert!(engine.plan_prepared(&prepared, b.cols()).parallel);
+    assert_eq!(engine.pool_threads(), 0, "the pool is lazy");
+    for i in 0..50 {
+        if i % 2 == 0 {
+            engine.gemm(&a, &b).unwrap();
+        } else {
+            engine.series_gemm_prepared(&prepared, &b).unwrap();
+        }
+        assert_eq!(
+            engine.pool_threads(),
+            workers - 1,
+            "GEMM {i}: row tiles run on the resident pool, never on fresh threads"
+        );
     }
-    run_stress(4);
-    run_stress(8);
 }
 
 #[test]
 fn engine_submit_is_thread_count_invariant() {
-    if !tasd_bench::testing::require_parallelism(2, "engine_submit_is_thread_count_invariant") {
-        return;
-    }
     // The serving path on top: the same batch must produce identical responses at 1, 4,
-    // and 8 workers (the engine plans parallelism, the tiling must not change math).
-    use tasd::{BatchRequest, ExecutionEngine, TasdConfig};
-    let _guard = ENV_LOCK.lock().expect("env lock");
+    // and 8 workers (the engine plans the tiling, the tiling must not change math).
     let mut gen = MatrixGenerator::seeded(0xD15C);
-    let a = Arc::new(gen.sparse_normal(192, 256, 0.8));
+    let a = Arc::new(gen.sparse_normal(256, 512, 0.8));
     let cfg = TasdConfig::parse("2:8+1:8").unwrap();
     let requests: Vec<BatchRequest> = (0..8)
         .map(|_| {
-            BatchRequest::decomposed(Arc::clone(&a), cfg.clone(), gen.normal(256, 16, 0.0, 1.0))
+            BatchRequest::decomposed(Arc::clone(&a), cfg.clone(), gen.normal(512, 16, 0.0, 1.0))
         })
         .collect();
     let mut baseline: Option<Vec<Matrix>> = None;
-    for threads in [1usize, 4, 8] {
-        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-        // min_parallel_macs 0 forces the tiled path even for this moderate batch.
-        let engine = ExecutionEngine::builder().min_parallel_macs(0).build();
-        let outputs: Vec<Matrix> = engine
-            .submit(requests.clone())
-            .into_iter()
-            .map(|r| r.output.unwrap())
-            .collect();
+    for workers in [1usize, 4, 8] {
+        let engine = ExecutionEngine::builder().workers(workers).build();
+        // The batch is one group of 8 × 16 packed columns: large enough to tile.
+        let prepared = engine.prepare_shared(&a, &cfg);
+        assert_eq!(engine.plan_prepared(&prepared, 128).parallel, workers > 1);
+        let outputs = outputs(&engine, requests.clone());
         match &baseline {
             None => baseline = Some(outputs),
-            Some(expected) => assert_eq!(expected, &outputs, "{threads} threads diverged"),
+            Some(expected) => assert_eq!(expected, &outputs, "{workers} workers diverged"),
         }
     }
-    std::env::remove_var("RAYON_NUM_THREADS");
 }

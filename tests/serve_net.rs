@@ -18,10 +18,9 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
 use std::time::Duration;
 
-use tasd::{BatchRequest, ExecutionEngine, ServingEngine, TasdConfig};
+use tasd::{BatchRequest, ExecutionEngine, TasdConfig};
 use tasd_serve::wire::CONNECTION_SCOPE_ID;
 use tasd_serve::{Client, ControlOp, ErrorCode, Frame, Server, ServerConfig};
 use tasd_tensor::{Matrix, MatrixGenerator};
@@ -93,8 +92,7 @@ fn loopback_matches_in_process_submit_bitwise() {
 
     // In-process reference on a *separate* engine: the determinism contract says
     // window composition and engine instance never change result bits.
-    let engine = Arc::new(ExecutionEngine::builder().build());
-    let session = ServingEngine::over(engine);
+    let engine = ExecutionEngine::builder().build();
     let config = TasdConfig::parse(CONFIG).expect("config");
     for (c, wire_outputs) in over_wire.iter().enumerate() {
         let requests: Vec<BatchRequest> = operands(c)
@@ -107,7 +105,7 @@ fn loopback_matches_in_process_submit_bitwise() {
                 }
             })
             .collect();
-        let reference = session.submit(requests);
+        let reference = engine.submit(requests);
         assert_eq!(reference.len(), wire_outputs.len());
         for (i, (reference, wire)) in reference.iter().zip(wire_outputs).enumerate() {
             let reference = reference.output.as_ref().expect("in-process ok");
@@ -172,8 +170,7 @@ fn queue_full_and_deadline_yield_error_frames() {
     // request parks, the second overflows the bounded queue.
     let config = ServerConfig {
         max_batch: 64,
-        max_wait_ticks: 1_000_000,
-        tick_interval: Duration::from_secs(3600),
+        max_wait: Duration::MAX,
         queue_capacity: Some(1),
         ..ServerConfig::default()
     };

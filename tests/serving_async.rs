@@ -17,9 +17,10 @@
 //!   changes results.
 
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 use tasd::{
-    BatchRequest, BatchResponse, ExecutionEngine, ServingEngine, ServingError, ShardPolicy,
-    TasdConfig,
+    BatchRequest, BatchResponse, ExecutionEngine, MockClock, ServingEngine, ServingError,
+    ShardPolicy, TasdConfig,
 };
 use tasd_tensor::{Matrix, MatrixGenerator};
 
@@ -123,24 +124,28 @@ fn concurrent_enqueue_matches_sequential_submit_bitwise() {
         .collect();
 
     // Concurrent run: every thread enqueues its stream through one shared session,
-    // interleaving ticks (to exercise window-age dispatch) and handle waits.
+    // interleaving clock steps and age checks (to exercise window-age dispatch) and
+    // handle waits.
     let engine = Arc::new(workload.engine());
     workload.warm(&engine);
     let prep_before = engine.prep_stats();
-    let serving = ServingEngine::over(Arc::clone(&engine))
-        .with_max_wait(2)
+    let clock = Arc::new(MockClock::new());
+    let serving = ServingEngine::over_with_clock(Arc::clone(&engine), clock.clone())
+        .with_max_wait(Duration::from_millis(2))
         .with_max_batch(8);
     let got: Vec<Vec<Matrix>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let serving = serving.clone();
                 let workload = &workload;
+                let clock = &clock;
                 scope.spawn(move || {
                     let mut waiting = Vec::new();
                     for (i, request) in workload.requests(t, PER_THREAD).into_iter().enumerate() {
                         waiting.push(serving.enqueue(request));
                         if i % 4 == t % 4 {
-                            serving.tick();
+                            clock.advance(Duration::from_millis(1));
+                            serving.dispatch_due();
                         }
                     }
                     waiting
@@ -190,41 +195,6 @@ fn concurrent_enqueue_matches_sequential_submit_bitwise() {
     assert_eq!(stats.enqueued, (THREADS * PER_THREAD) as u64);
     assert_eq!(stats.dispatched, stats.enqueued, "no request left behind");
     assert!(stats.windows >= 1);
-}
-
-/// Concurrent `ServingEngine::submit` calls (the back-compat wrapper) are each one
-/// window: bitwise identical to engine-level submit, telemetry per call.
-#[test]
-fn concurrent_submit_wrappers_match_engine_submit() {
-    const PER_THREAD: usize = 9;
-    let workload = Workload::new();
-    let reference_engine = workload.engine();
-    let reference: Vec<Vec<Matrix>> = (0..THREADS)
-        .map(|t| outputs(reference_engine.submit(workload.requests(t, PER_THREAD))))
-        .collect();
-
-    let serving = Arc::new(ServingEngine::over(Arc::new(workload.engine())));
-    let got: Vec<(usize, Vec<Matrix>, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let serving = Arc::clone(&serving);
-                let workload = &workload;
-                scope.spawn(move || {
-                    let (responses, telemetry) =
-                        serving.submit_with_telemetry(workload.requests(t, PER_THREAD));
-                    (t, outputs(responses), telemetry.requests as u64)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("submit thread panicked"))
-            .collect()
-    });
-    for (t, outs, telemetry_requests) in got {
-        assert_eq!(telemetry_requests, PER_THREAD as u64);
-        assert_eq!(outs, reference[t], "thread {t} diverged");
-    }
 }
 
 /// The executor-placement guarantee: many sharded batches — including concurrent ones —
@@ -289,9 +259,9 @@ fn pinned_worker_counts_are_deterministic_and_result_invariant() {
 }
 
 /// The micro-batch window lifecycle end to end on a cache-less engine, where the
-/// decomposition count directly measures coalescing: a window of 2 ticks turns two
-/// late-arriving same-operand requests into one decomposition, where individual submits
-/// pay one each.
+/// decomposition count directly measures coalescing: a 2 ms window on the session clock
+/// stays open below its age limit, closes at it, and turns two late-arriving
+/// same-operand requests into one decomposition, where individual submits pay one each.
 #[test]
 fn window_coalesces_late_arrivals_into_one_decomposition() {
     let mut gen = MatrixGenerator::seeded(0xC0A1);
@@ -304,14 +274,23 @@ fn window_coalesces_late_arrivals_into_one_decomposition() {
     // Cache-less engine: every window decomposes its groups afresh, so `prepares`
     // counts exactly what coalescing saves.
     let engine = Arc::new(ExecutionEngine::builder().cache_capacity(0).build());
-    let serving = ServingEngine::over(Arc::clone(&engine))
-        .with_max_wait(2)
+    let clock = Arc::new(MockClock::new());
+    let serving = ServingEngine::over_with_clock(Arc::clone(&engine), clock.clone())
+        .with_max_wait(Duration::from_millis(2))
         .with_max_batch(32);
     let h1 = serving.enqueue(request(&mut gen));
-    assert!(!serving.tick(), "window must stay open after 1 of 2 ticks");
+    clock.advance(Duration::from_micros(1999));
+    assert!(
+        !serving.dispatch_due(),
+        "window must stay open below max_wait"
+    );
     let h2 = serving.enqueue(request(&mut gen)); // late arrival
     let h3 = serving.enqueue(request(&mut gen)); // later arrival
-    assert!(serving.tick(), "second tick closes the window");
+    clock.advance(Duration::from_micros(1));
+    assert!(
+        serving.dispatch_due(),
+        "the oldest request reaching max_wait closes it"
+    );
     let window_prepares = engine.prep_stats().prepares;
     assert_eq!(
         window_prepares, 1,
@@ -351,8 +330,9 @@ fn window_coalesces_late_arrivals_into_one_decomposition() {
 fn concurrent_shutdown_never_loses_a_handle() {
     const PER_THREAD: usize = 24;
     let workload = Workload::new();
-    let serving = ServingEngine::over(Arc::new(workload.engine()))
-        .with_max_wait(2)
+    let clock = Arc::new(MockClock::new());
+    let serving = ServingEngine::over_with_clock(Arc::new(workload.engine()), clock.clone())
+        .with_max_wait(Duration::from_millis(2))
         .with_max_batch(4);
     let barrier = Barrier::new(THREADS + 1);
     let outcomes: Vec<(u64, u64)> = std::thread::scope(|scope| {
@@ -361,13 +341,15 @@ fn concurrent_shutdown_never_loses_a_handle() {
                 let serving = serving.clone();
                 let workload = &workload;
                 let barrier = &barrier;
+                let clock = &clock;
                 scope.spawn(move || {
                     barrier.wait();
                     let mut pending = Vec::new();
                     for (i, request) in workload.requests(t, PER_THREAD).into_iter().enumerate() {
                         pending.push(serving.enqueue(request));
                         if i % 3 == t % 3 {
-                            serving.tick();
+                            clock.advance(Duration::from_millis(1));
+                            serving.dispatch_due();
                         }
                     }
                     let mut served = 0u64;
@@ -408,7 +390,7 @@ fn concurrent_shutdown_never_loses_a_handle() {
 }
 
 /// Handles are well-behaved at the edges: polling before dispatch, waiting without a
-/// ticker, shape errors delivered as `Err` responses (not panics), and ids in enqueue
+/// dispatcher, shape errors delivered as `Err` responses (not panics), and ids in enqueue
 /// order.
 #[test]
 fn handle_edge_cases() {
@@ -439,37 +421,39 @@ fn handle_edge_cases() {
     assert!(good.try_take().expect("flushed").output.is_ok());
 }
 
-/// Regression — the unowned-ticker latency bug. A request parked with `max_wait > 0`
-/// and **no follow-up traffic** used to wait forever unless its caller blocked in
-/// `wait()` (force-closing the window) or somebody else happened to tick: nobody
-/// owned the logical clock. With a [`TickerHandle`](tasd::TickerHandle) attached, the
-/// window closes within `max_wait × interval` of *wall-clock* time, so a passive
-/// waiter resolves with nothing else touching the session.
+/// Regression — the unowned-window latency bug. A request parked with `max_wait > 0`
+/// and **no follow-up traffic** waits until its caller blocks in `wait()`
+/// (force-closing the window) unless someone owns the window. With a
+/// [`DispatcherHandle`](tasd::DispatcherHandle) attached, the window closes about
+/// `max_wait` after it opened, so a passive waiter resolves with nothing else touching
+/// the session.
 #[test]
-fn ticker_bounds_parked_request_latency_without_caller_traffic() {
+fn dispatcher_bounds_parked_request_latency_without_caller_traffic() {
     let mut gen = MatrixGenerator::seeded(0x71CC);
     let a = Arc::new(gen.sparse_normal(32, 32, 0.7));
     let b = gen.normal(32, 4, 0.0, 1.0);
     let serving = ExecutionEngine::builder()
         .serving()
         .with_max_batch(1024) // never closes on size
-        .with_max_wait(2);
-    let ticker = serving.spawn_ticker(std::time::Duration::from_millis(1));
+        .with_max_wait(Duration::from_millis(2));
+    let dispatcher = serving.spawn_dispatcher();
 
     let handle = serving.enqueue(BatchRequest::dense(a, b));
-    // Touch nothing: no tick, no flush, no blocking wait that would force-close the
-    // window. Only the background ticker can resolve this handle.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    // Touch nothing: no flush, no age check, no blocking wait that would force-close
+    // the window. Only the background dispatcher can resolve this handle.
+    let deadline = Instant::now() + Duration::from_secs(10);
     while !handle.is_ready() {
         assert!(
-            std::time::Instant::now() < deadline,
-            "parked request did not resolve: nobody ticked the session (unowned-ticker bug)"
+            Instant::now() < deadline,
+            "parked request did not resolve: nobody owned the window"
         );
-        std::thread::sleep(std::time::Duration::from_millis(1));
+        std::thread::sleep(Duration::from_millis(1));
     }
-    // The passive wait must not dispatch either — the ticker already did.
+    // The passive wait must not dispatch either — the dispatcher already did.
     let response = handle.wait_without_dispatch();
     assert!(response.output.is_ok());
-    assert!(serving.stats().ticks >= 1, "resolution came from ticks");
-    ticker.stop();
+    let stats = serving.stats();
+    assert_eq!(stats.windows, 1);
+    assert!(stats.ticks >= 1, "resolution came from an age check");
+    dispatcher.stop();
 }

@@ -53,15 +53,14 @@ fn sharded_engine() -> Arc<ExecutionEngine> {
     )
 }
 
-/// Same sharding, with every engine failpoint armed against `plan` and sequential
-/// execution so per-site call indices are in program order.
+/// Same sharding, with every engine failpoint armed against `plan` and a single worker
+/// so per-site call indices are in program order.
 fn faulted_sharded_engine(plan: &Arc<FaultPlan>) -> Arc<ExecutionEngine> {
     Arc::new(
         ExecutionEngine::builder()
             .shard_policy(ShardPolicy::FixedRows(16))
             .shard_min_rows(2)
             .workers(1)
-            .parallel(false)
             .fault_plan(Arc::clone(plan))
             .build(),
     )
@@ -82,8 +81,8 @@ fn bits(m: &Matrix) -> Vec<u32> {
 /// Reference output of `a · b` under the suite config, on a fresh unrelated engine
 /// (the determinism contract: engine instance never changes result bits).
 fn reference(a: &Matrix, b: &Matrix) -> Matrix {
-    let session = ServingEngine::over(Arc::new(ExecutionEngine::builder().build()));
-    let mut responses = session.submit(vec![BatchRequest::decomposed(a.clone(), cfg(), b.clone())]);
+    let engine = ExecutionEngine::builder().build();
+    let mut responses = engine.submit(vec![BatchRequest::decomposed(a.clone(), cfg(), b.clone())]);
     responses.remove(0).output.expect("reference run is clean")
 }
 
@@ -100,7 +99,7 @@ fn temp_path(name: &str) -> PathBuf {
 fn swap_under_traffic_is_bitwise_atomic() {
     let engine = sharded_engine();
     let serving = ServingEngine::over(Arc::clone(&engine))
-        .with_max_wait(100)
+        .with_max_wait(Duration::MAX)
         .with_max_batch(100);
     let store = WeightStore::new(engine);
 
@@ -161,7 +160,7 @@ fn enqueue_never_blocks_on_a_slow_deploy() {
     ));
     let engine = faulted_sharded_engine(&plan);
     let serving = ServingEngine::over(Arc::clone(&engine))
-        .with_max_wait(100)
+        .with_max_wait(Duration::MAX)
         .with_max_batch(100);
     let store = Arc::new(WeightStore::new(engine));
 
@@ -218,7 +217,7 @@ fn deploy_panic_keeps_the_old_generation_and_loses_no_handles() {
     let plan = Arc::new(FaultPlan::new().fail_at(FaultSite::Decompose, SHARDS, FaultKind::Panic));
     let engine = faulted_sharded_engine(&plan);
     let serving = ServingEngine::over(Arc::clone(&engine))
-        .with_max_wait(100)
+        .with_max_wait(Duration::MAX)
         .with_max_batch(100);
     let store = WeightStore::new(engine);
 

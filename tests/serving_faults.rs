@@ -43,14 +43,15 @@ fn fault_seed() -> u64 {
 
 /// An engine whose every kernel entry trips `plan` ([`FaultyBackend`] over the dense
 /// reference kernel) and whose internal failpoints are armed against the same plan.
-/// Sequential execution keeps per-site call indices in program order.
+/// A single-worker engine runs every kernel whole, in program order, so per-site call
+/// indices stay deterministic.
 fn faulty_engine(plan: &Arc<FaultPlan>) -> Arc<ExecutionEngine> {
     let inner: Arc<dyn GemmBackend> = Arc::new(DenseBackend::default());
     Arc::new(
         ExecutionEngine::builder()
             .backend(Arc::new(FaultyBackend::wrap(inner, Arc::clone(plan))))
             .fault_plan(Arc::clone(plan))
-            .parallel(false)
+            .workers(1)
             .build(),
     )
 }
@@ -76,7 +77,7 @@ fn run_window(
     requests: Vec<BatchRequest>,
 ) -> Vec<Result<Matrix, ServingError>> {
     let serving = ServingEngine::over(faulty_engine(plan))
-        .with_max_wait(100)
+        .with_max_wait(Duration::MAX)
         .with_max_batch(100);
     let handles: Vec<_> = requests.into_iter().map(|r| serving.enqueue(r)).collect();
     serving.flush();
@@ -178,7 +179,7 @@ fn deadlines_expire_deterministically_on_a_mock_clock() {
         Arc::new(ExecutionEngine::builder().build()),
         Arc::<MockClock>::clone(&clock),
     )
-    .with_max_wait(100)
+    .with_max_wait(Duration::MAX)
     .with_max_batch(100);
 
     let mut requests = distinct_requests(2).into_iter();
@@ -215,7 +216,7 @@ fn shed_expired_first_makes_room_by_resolving_expired_requests() {
         Arc::new(ExecutionEngine::builder().build()),
         Arc::<MockClock>::clone(&clock),
     )
-    .with_max_wait(100)
+    .with_max_wait(Duration::MAX)
     .with_max_batch(100)
     .with_queue_capacity(2)
     .with_overload_policy(OverloadPolicy::ShedExpiredFirst);
@@ -253,7 +254,7 @@ fn shed_expired_first_makes_room_by_resolving_expired_requests() {
 fn window_dispatch_panic_wakes_every_waiter_and_the_session_survives() {
     let plan = Arc::new(FaultPlan::new().fail_at(FaultSite::WindowDispatch, 0, FaultKind::Panic));
     let serving = ServingEngine::over(faulty_engine(&plan))
-        .with_max_wait(100)
+        .with_max_wait(Duration::MAX)
         .with_max_batch(100);
     let handles: Vec<_> = distinct_requests(3)
         .into_iter()
@@ -310,7 +311,7 @@ fn shutdown_under_load_resolves_every_handle_and_spares_the_engine() {
     ));
     let engine = faulty_engine(&plan);
     let serving = ServingEngine::over(Arc::clone(&engine))
-        .with_max_wait(100)
+        .with_max_wait(Duration::MAX)
         .with_max_batch(100);
 
     let in_flight: Vec<_> = distinct_requests(4)
@@ -368,8 +369,9 @@ fn concurrent_chaos_loses_no_handles() {
         (THREADS * PER_THREAD) as u64,
         seed,
     ));
-    let serving = ServingEngine::over(faulty_engine(&plan))
-        .with_max_wait(2)
+    let clock = Arc::new(MockClock::new());
+    let serving = ServingEngine::over_with_clock(faulty_engine(&plan), clock.clone())
+        .with_max_wait(Duration::from_millis(2))
         .with_max_batch(4)
         .with_queue_capacity(32)
         .with_overload_policy(OverloadPolicy::ShedExpiredFirst);
@@ -380,6 +382,7 @@ fn concurrent_chaos_loses_no_handles() {
             .map(|t| {
                 let serving = serving.clone();
                 let barrier = &barrier;
+                let clock = &clock;
                 scope.spawn(move || {
                     let mut gen = MatrixGenerator::seeded(0xC1A0 + t as u64);
                     let cfg = TasdConfig::parse("2:8").unwrap();
@@ -395,7 +398,8 @@ fn concurrent_chaos_loses_no_handles() {
                         }
                         handles.push(handle);
                         if i % 3 == 0 {
-                            serving.tick();
+                            clock.advance(Duration::from_millis(1));
+                            serving.dispatch_due();
                         }
                     }
                     // [ok, kernel_panicked, cancelled, shutting_down, queue_full]

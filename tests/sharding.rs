@@ -9,24 +9,18 @@
 //! nor the order it is accumulated in. Anything weaker would let sharding silently
 //! change serving results.
 //!
-//! The multi-thread stress test forces 4 and 8 shard workers via `RAYON_NUM_THREADS`
-//! (each engine captures its executor worker count from it **at build time** — see
-//! `EngineBuilder::workers` — so the engine is rebuilt per setting) and self-skips with
-//! a logged reason on 1-CPU hosts through `tasd_bench::testing::require_parallelism` —
-//! no `#[ignore]`.
+//! The multi-thread stress test pins 1, 4, and 8 executor workers with
+//! `EngineBuilder::workers` (captured once at build time, so the engine is rebuilt per
+//! setting); the pool threads are real on any host.
 
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
-use tasd::{BatchRequest, ExecutionEngine, ShardPolicy, ShardedEngine, ShardedSeries, TasdConfig};
+use std::sync::Arc;
+use tasd::{BatchRequest, ExecutionEngine, ShardPolicy, ShardedSeries, TasdConfig};
 use tasd_tensor::backend::{CsrBackend, DenseBackend, NmBackend};
 use tasd_tensor::{Matrix, MatrixGenerator};
 
 /// The sparsity grid the acceptance criteria name.
 const SPARSITIES: [f64; 4] = [0.0, 0.5, 0.9, 0.97];
-
-/// `RAYON_NUM_THREADS` is process-global and the harness runs tests on concurrent
-/// threads: any test that mutates it holds this lock for its whole run.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// The shard-count grid: 1, 2, 3, 7, one-per-row, an nnz-balanced split, and a fixed-row
 /// split that leaves a ragged tail for most row counts.
@@ -43,7 +37,7 @@ fn policies(rows: usize) -> Vec<ShardPolicy> {
 }
 
 /// One engine per backend regime: the density-driven default, each kernel forced, and
-/// the sequential (no row tiling) variant.
+/// the sequential (single-worker) variant.
 fn engines() -> Vec<(&'static str, Arc<ExecutionEngine>)> {
     vec![
         ("default", Arc::new(ExecutionEngine::builder().build())),
@@ -73,7 +67,7 @@ fn engines() -> Vec<(&'static str, Arc<ExecutionEngine>)> {
         ),
         (
             "sequential",
-            Arc::new(ExecutionEngine::builder().parallel(false).build()),
+            Arc::new(ExecutionEngine::builder().workers(1).build()),
         ),
     ]
 }
@@ -92,9 +86,8 @@ fn assert_sharded_matches(
     cfg: &TasdConfig,
     b: &Matrix,
 ) -> ShardedSeries {
-    let sharder = ShardedEngine::new(Arc::clone(engine), policy.clone());
-    let sharded = sharder.prepare(a, cfg);
-    let got = sharder.series_gemm(&sharded, b).unwrap();
+    let sharded = engine.prepare_sharded(a, cfg, policy);
+    let got = engine.series_gemm_sharded(&sharded, b).unwrap();
     let expected = unsharded(engine, a, cfg, b);
     assert_eq!(
         got, expected,
@@ -192,9 +185,10 @@ fn telemetry_accounts_every_row_and_nonzero_exactly_once() {
     let engine = Arc::new(ExecutionEngine::builder().build());
     let whole_nnz = engine.prepare_shared(&a, &cfg).nnz();
     for policy in policies(80) {
-        let sharder = ShardedEngine::new(Arc::clone(&engine), policy.clone());
-        let sharded = sharder.prepare(&a, &cfg);
-        let (_, telemetry) = sharder.series_gemm_with_telemetry(&sharded, &b).unwrap();
+        let sharded = engine.prepare_sharded(&a, &cfg, &policy);
+        let (_, telemetry) = engine
+            .series_gemm_sharded_with_telemetry(&sharded, &b)
+            .unwrap();
         assert!(
             telemetry.covers_rows(80),
             "{policy:?}: shard ranges must be disjoint and cover all rows"
@@ -274,27 +268,23 @@ fn warm_sharded_submit_never_converts_replans_or_rescans() {
 
 #[test]
 fn sharded_execution_is_worker_count_invariant() {
-    if !tasd_bench::testing::require_parallelism(2, "sharded_execution_is_worker_count_invariant") {
-        return;
-    }
-    let _guard = ENV_LOCK.lock().expect("env lock");
     let mut gen = MatrixGenerator::seeded(0xC0DE);
     let a = Arc::new(gen.sparse_normal(192, 96, 0.85));
     let b = gen.normal(96, 12, 0.0, 1.0);
     let cfg = TasdConfig::parse("2:8+1:8").unwrap();
     let mut baseline: Option<Matrix> = None;
     for workers in [1usize, 4, 8] {
-        std::env::set_var("RAYON_NUM_THREADS", workers.to_string());
-        let engine = Arc::new(ExecutionEngine::builder().build());
+        let engine = ExecutionEngine::builder().workers(workers).build();
         for policy in [
             ShardPolicy::TargetShards(8),
             ShardPolicy::NnzBalanced(8),
             ShardPolicy::FixedRows(11),
         ] {
-            let sharder = ShardedEngine::new(Arc::clone(&engine), policy);
-            let sharded = sharder.prepare(&a, &cfg);
-            let (c, telemetry) = sharder.series_gemm_with_telemetry(&sharded, &b).unwrap();
-            assert!(telemetry.workers <= workers.max(1));
+            let sharded = engine.prepare_sharded(&a, &cfg, &policy);
+            let (c, telemetry) = engine
+                .series_gemm_sharded_with_telemetry(&sharded, &b)
+                .unwrap();
+            assert!(telemetry.workers <= workers);
             match &baseline {
                 None => baseline = Some(c),
                 Some(expected) => {
@@ -303,7 +293,6 @@ fn sharded_execution_is_worker_count_invariant() {
             }
         }
     }
-    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
 #[test]
@@ -312,23 +301,23 @@ fn zero_row_and_zero_width_edges_are_well_formed() {
     let cfg = TasdConfig::parse("2:8").unwrap();
     // Zero rows: no shards, empty output.
     let empty = Arc::new(Matrix::zeros(0, 16));
-    let sharder = ShardedEngine::new(Arc::clone(&engine), ShardPolicy::TargetShards(4));
-    let sharded = sharder.prepare(&empty, &cfg);
+    let policy = ShardPolicy::TargetShards(4);
+    let sharded = engine.prepare_sharded(&empty, &cfg, &policy);
     assert_eq!(sharded.num_shards(), 0);
-    let c = sharder
-        .series_gemm(&sharded, &Matrix::zeros(16, 3))
+    let c = engine
+        .series_gemm_sharded(&sharded, &Matrix::zeros(16, 3))
         .unwrap();
     assert_eq!(c.shape(), (0, 3));
     // Zero output width flows through every shard.
     let mut gen = MatrixGenerator::seeded(1);
     let a = Arc::new(gen.sparse_normal(24, 16, 0.5));
-    let sharded = sharder.prepare(&a, &cfg);
-    let c = sharder
-        .series_gemm(&sharded, &Matrix::zeros(16, 0))
+    let sharded = engine.prepare_sharded(&a, &cfg, &policy);
+    let c = engine
+        .series_gemm_sharded(&sharded, &Matrix::zeros(16, 0))
         .unwrap();
     assert_eq!(c.shape(), (24, 0));
     // Shape mismatches are rejected, not panicked on.
-    assert!(sharder
-        .series_gemm(&sharded, &Matrix::zeros(15, 2))
+    assert!(engine
+        .series_gemm_sharded(&sharded, &Matrix::zeros(15, 2))
         .is_err());
 }
