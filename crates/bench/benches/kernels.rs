@@ -18,6 +18,20 @@ fn bench_decomposition(c: &mut Criterion) {
             b.iter(|| tasd::decompose(std::hint::black_box(&a), config));
         });
     }
+    // TASD-A's serving shape: a ReLU activation tile (about half zeros) under 4:8, as
+    // every fresh-activation request decomposes it.
+    let relu_tile = gen.normal(256, 1152, 0.0, 1.0).map(|x| x.max(0.0));
+    let config = TasdConfig::parse("4:8").unwrap();
+    group.bench_function("relu_tile_256x1152_4:8", |b| {
+        b.iter(|| tasd::decompose(std::hint::black_box(&relu_tile), &config));
+    });
+    // TASD-W's deploy shape: Sparse BERT's FFN fc1 weight, magnitude-pruned to 91%,
+    // under the 2:8+1:8 series a registration or a whole-operand push prepares.
+    let fc1 = gen.magnitude_pruned(3072, 768, 0.91);
+    let config = TasdConfig::parse("2:8+1:8").unwrap();
+    group.bench_function("bert_fc1_3072x768_2:8+1:8", |b| {
+        b.iter(|| tasd::decompose(std::hint::black_box(&fc1), &config));
+    });
     // The engine path: after the first (cold) call every iteration is a cache hit, which
     // is the serving-path behaviour the DecompositionCache exists for.
     let engine = ExecutionEngine::builder().build();

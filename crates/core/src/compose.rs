@@ -24,9 +24,14 @@ impl PatternMenu {
     ///
     /// # Panics
     ///
-    /// Panics if `m == 0` or any `n` is zero or exceeds `m`.
+    /// Panics if `m` is zero or above [`NmPattern::MAX_M`], or any `n` is zero or exceeds
+    /// `m`.
     pub fn new(m: usize, native_n: &[usize], supports_dense: bool) -> Self {
-        assert!(m > 0, "block size must be positive");
+        assert!(
+            m > 0 && m <= NmPattern::MAX_M,
+            "block size must be in 1..={}",
+            NmPattern::MAX_M
+        );
         let mut supported_n: Vec<usize> = native_n.to_vec();
         for &n in &supported_n {
             assert!(n > 0 && n <= m, "native pattern {n}:{m} is invalid");

@@ -46,9 +46,13 @@ impl TasdConfig {
 
     /// The identity configuration for block size `m`: a dense `m:m` "pattern" that keeps
     /// everything (used to represent running a layer densely).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is zero or above [`NmPattern::MAX_M`].
     pub fn dense(m: usize) -> Self {
         TasdConfig {
-            terms: vec![NmPattern::new(m, m).expect("m:m is always valid")],
+            terms: vec![NmPattern::new(m, m).expect("m:m is valid for 0 < m <= MAX_M")],
         }
     }
 
@@ -192,6 +196,9 @@ mod tests {
         assert!(TasdConfig::parse("a:4").is_err());
         assert!(TasdConfig::parse("5:4").is_err());
         assert!(TasdConfig::parse("2:4+").is_err());
+        // Block sizes are capped at NmPattern::MAX_M.
+        assert!(TasdConfig::parse("1:64").is_ok());
+        assert!(TasdConfig::parse("1:300").is_err());
     }
 
     #[test]

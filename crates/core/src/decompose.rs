@@ -6,10 +6,22 @@ use tasd_tensor::{Matrix, NmCompressed};
 
 /// Decomposes `matrix` into a TASD series according to `config`.
 ///
-/// Term `i` is produced by taking the N:M view (largest-magnitude elements per block) of
-/// the running residual under `config.terms()[i]`, then subtracting it to form the next
-/// residual (paper Eq. 1–4 and Fig. 4). The final residual is discarded — that is exactly
-/// the approximation error of the series.
+/// Term `i` keeps, in every block of the running residual, the lanes
+/// `config.terms()[i]` picks, and the next residual is what it leaves (paper Eq. 1–4 and
+/// Fig. 4). The final residual is discarded — that is exactly the approximation error of
+/// the series.
+///
+/// The work is one pass over the rows ([`NmCompressed::extract_series`]): each row is
+/// copied once into a reused buffer, and each term in turn writes its kept `(lane,
+/// value)` entries straight into its compressed storage and zeroes those lanes. Lanes
+/// are ranked by magnitude, keyed `abs().to_bits()`, and the earlier lane wins a tie
+/// ([`tasd_tensor::NmPattern::kept_lanes`]), so equal inputs always decompose to the
+/// same bits. A NaN ranks above `+inf`, and since kept values are moved out rather than
+/// subtracted, every input value — finite or not — lands in at most one term. Block
+/// sizes are capped at [`tasd_tensor::NmPattern::MAX_M`].
+///
+/// The series stops at the first term that leaves no nonzeros: later terms would be
+/// empty, so they are not materialized (the series still records the full `config`).
 ///
 /// # Example
 ///
@@ -27,33 +39,27 @@ use tasd_tensor::{Matrix, NmCompressed};
 /// assert_eq!(series.reconstruct(), a);
 /// ```
 pub fn decompose(matrix: &Matrix, config: &TasdConfig) -> TasdSeries {
-    decompose_with_residual(matrix, config).0
+    series(matrix, config, None)
 }
 
 /// Like [`decompose`], but also returns the final residual (the part of `matrix` not
-/// covered by any term). `matrix ==` reconstruction `+` residual always holds exactly.
+/// covered by any term): the extraction's row buffer after the last term. For finite
+/// inputs `matrix ==` reconstruction `+` residual holds exactly.
 pub fn decompose_with_residual(matrix: &Matrix, config: &TasdConfig) -> (TasdSeries, Matrix) {
-    let mut residual = matrix.clone();
+    let mut residual = Matrix::zeros(matrix.rows(), matrix.cols());
+    let series = series(matrix, config, Some(&mut residual));
+    (series, residual)
+}
+
+fn series(matrix: &Matrix, config: &TasdConfig, residual: Option<&mut Matrix>) -> TasdSeries {
     let mut terms = Vec::with_capacity(config.order());
-    for &pattern in config.terms() {
-        let view = pattern.view(&residual);
-        residual = residual
-            .try_sub(&view)
-            .expect("view has the same shape as the residual");
-        let compressed = NmCompressed::from_dense_strict(&view, pattern)
-            .expect("view satisfies its own pattern by construction");
-        terms.push(compressed);
-        if residual.count_nonzeros() == 0 {
-            // Remaining terms would be all-zero; still record them? The paper treats the
-            // series as fixed-length, but empty terms carry no information and no cost, so
-            // we stop early. The config is preserved in the series for reporting.
+    for (term, nonzeros_left) in NmCompressed::extract_series(matrix, config.terms(), residual) {
+        terms.push(term);
+        if nonzeros_left == 0 {
             break;
         }
     }
-    (
-        TasdSeries::new(matrix.shape(), config.clone(), terms),
-        residual,
-    )
+    TasdSeries::new(matrix.shape(), config.clone(), terms)
 }
 
 #[cfg(test)]
@@ -177,6 +183,50 @@ mod tests {
         assert_eq!(series.num_terms(), 1);
         assert_eq!(series.reconstruct(), a);
         assert_eq!(series.config(), &cfg);
+    }
+
+    #[test]
+    fn non_finite_values_land_in_exactly_one_term() {
+        // Row 0: a NaN block, whose NaN ranks first, so 3.0 goes to the second term.
+        // Row 1: an infinity block, kept whole by the first term, never split.
+        let a = Matrix::from_rows(&[
+            vec![1.0, f32::NAN, 3.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+            vec![f32::INFINITY, 1.0, 2.0, 3.0, 0.0, 0.0, 0.0, 0.0],
+        ]);
+        let series = decompose(&a, &TasdConfig::parse("1:4+1:4").unwrap());
+        let entries: Vec<Vec<(usize, usize, u32)>> = series
+            .terms()
+            .iter()
+            .map(|term| {
+                (0..a.rows())
+                    .flat_map(|i| term.row_entries(i).map(move |(j, v)| (i, j, v.to_bits())))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            entries,
+            vec![
+                vec![(0, 1, f32::NAN.to_bits()), (1, 0, f32::INFINITY.to_bits())],
+                vec![(0, 2, 3.0f32.to_bits()), (1, 3, 3.0f32.to_bits())],
+            ]
+        );
+        // Disjoint supports, and each non-finite input sits in exactly one term with its
+        // own bits.
+        let mut cells: Vec<(usize, usize)> = entries.iter().flatten().map(|e| (e.0, e.1)).collect();
+        cells.sort_unstable();
+        cells.dedup();
+        assert_eq!(cells.len(), entries.iter().map(Vec::len).sum::<usize>());
+        for i in 0..a.rows() {
+            for (j, x) in a.row(i).iter().enumerate() {
+                if !x.is_finite() {
+                    let holders = entries.iter().flatten().filter(|e| (e.0, e.1) == (i, j));
+                    assert_eq!(holders.map(|e| e.2).collect::<Vec<_>>(), vec![x.to_bits()]);
+                }
+            }
+        }
+        // The infinite row's product stays infinite instead of turning NaN.
+        let product = crate::series_gemm(&series, &Matrix::filled(8, 1, 1.0)).unwrap();
+        assert_eq!(product[(1, 0)], f32::INFINITY);
     }
 
     #[test]

@@ -25,7 +25,8 @@ pub enum TensorError {
         /// Number of elements supplied.
         len: usize,
     },
-    /// An N:M pattern was requested with invalid parameters (e.g. `n > m` or `m == 0`).
+    /// An N:M pattern was requested with invalid parameters: `n == 0`, `n > m`, or `m`
+    /// above [`crate::NmPattern::MAX_M`].
     InvalidPattern {
         /// Requested N.
         n: usize,
@@ -60,7 +61,11 @@ impl fmt::Display for TensorError {
                 rows * cols
             ),
             TensorError::InvalidPattern { n, m } => {
-                write!(f, "invalid N:M pattern {n}:{m} (require 0 < m and n <= m)")
+                write!(
+                    f,
+                    "invalid N:M pattern {n}:{m} (require 0 < n <= m <= {})",
+                    crate::NmPattern::MAX_M
+                )
             }
             TensorError::BlockMisaligned { cols, m } => write!(
                 f,

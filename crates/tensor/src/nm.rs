@@ -1,9 +1,18 @@
 //! Fine-grained N:M structured sparsity patterns and views.
 //!
 //! An N:M pattern constrains every block of M consecutive elements along a row to contain
-//! at most N non-zeros (paper §2.1). The *view* of a matrix under a pattern keeps, in every
-//! block, the N elements of largest magnitude and drops the rest — exactly the greedy
-//! extraction step that TASD uses to produce one structured term.
+//! at most N non-zeros (paper §2.1). M is at most [`NmPattern::MAX_M`] = 64: a kept
+//! value's lane is one byte of metadata, and selection works on a 64-bit lane mask.
+//!
+//! Every structured extraction in the workspace — the N:M *view*, compression
+//! ([`crate::NmCompressed::from_dense`]) and each term of a TASD decomposition
+//! ([`crate::NmCompressed::extract_series`]) — picks its lanes through one rule,
+//! [`NmPattern::kept_lanes`]: in each block, the N nonzero values of largest magnitude,
+//! ranked by the key `abs().to_bits()` with the earlier lane winning ties. For finite
+//! values that key orders exactly as magnitude does. A NaN is nonzero and its key ranks
+//! above `+inf`, so a non-finite value is always kept ahead of any finite one; an
+//! extraction moves a kept value out of the block rather than subtracting it, so each
+//! input value lands in at most one term.
 
 use crate::{Matrix, Result, TensorError};
 use serde::{Deserialize, Serialize};
@@ -28,13 +37,18 @@ pub struct NmPattern {
 }
 
 impl NmPattern {
+    /// The largest block size a pattern may have. A kept value's lane is stored in one
+    /// byte ([`crate::NmCompressed`], the snapshot format) and [`NmPattern::kept_lanes`]
+    /// returns a 64-bit lane mask; every pattern the paper evaluates has M ≤ 16.
+    pub const MAX_M: usize = 64;
+
     /// Creates an N:M pattern.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidPattern`] if `m == 0`, `n == 0`, or `n > m`.
+    /// Returns [`TensorError::InvalidPattern`] unless `0 < n <= m <= MAX_M`.
     pub fn new(n: usize, m: usize) -> Result<Self> {
-        if m == 0 || n == 0 || n > m {
+        if n == 0 || n > m || m > Self::MAX_M {
             return Err(TensorError::InvalidPattern { n, m });
         }
         Ok(NmPattern { n, m })
@@ -84,13 +98,62 @@ impl NmPattern {
         true
     }
 
-    /// Produces the N:M view of `matrix`: in every length-M block of every row, the N
-    /// elements of largest magnitude are kept and all others are set to zero (ties keep the
-    /// earliest element). Rows whose width is not a multiple of M treat the trailing
-    /// partial block as its own (shorter) block.
+    /// The lanes of `block` this pattern keeps, as a bit mask (bit `i` is lane `i`): the
+    /// N nonzero values of largest magnitude, or every nonzero value if there are at most
+    /// N. Candidates are ranked by the key `abs().to_bits()`, and the earlier lane wins a
+    /// tie, which makes every extraction deterministic. For finite values the key orders
+    /// exactly as magnitude does; a NaN ranks above `+inf`. Only the first M lanes of
+    /// `block` are considered.
     ///
-    /// This is lossy whenever a block has more than N non-zeros; the dropped values are
-    /// exactly `matrix - view`.
+    /// This is the one selection rule behind [`NmPattern::view`],
+    /// [`crate::NmCompressed::from_dense`] and TASD decomposition.
+    // lint: hot-path
+    pub fn kept_lanes(&self, block: &[f32]) -> u64 {
+        self.select(block).0
+    }
+
+    /// [`NmPattern::kept_lanes`], returned with the number of nonzero lanes it leaves.
+    // lint: hot-path
+    pub(crate) fn select(&self, block: &[f32]) -> (u64, usize) {
+        let mut candidates = 0u64;
+        for (lane, &x) in block.iter().take(self.m).enumerate() {
+            candidates |= u64::from(x != 0.0) << lane;
+        }
+        let nonzeros = candidates.count_ones() as usize;
+        if nonzeros <= self.n {
+            return (candidates, 0);
+        }
+        // Repeated arg-max over the remaining candidates, scanned in lane order: a strict
+        // `>` keeps the earliest of equal keys. Nonzero keys are positive, so each round
+        // picks a lane.
+        let mut kept = 0u64;
+        for _ in 0..self.n {
+            let mut best = 0u64;
+            let mut best_key = 0u32;
+            let mut rest = candidates;
+            while rest != 0 {
+                let bit = rest & rest.wrapping_neg();
+                rest ^= bit;
+                let key = block
+                    .get(bit.trailing_zeros() as usize)
+                    .map_or(0, |x| x.abs().to_bits());
+                if key > best_key {
+                    best_key = key;
+                    best = bit;
+                }
+            }
+            kept |= best;
+            candidates ^= best;
+        }
+        (kept, nonzeros - self.n)
+    }
+
+    /// Produces the N:M view of `matrix`: in every length-M block of every row, the lanes
+    /// [`NmPattern::kept_lanes`] picks are kept and all others are set to zero. Rows whose
+    /// width is not a multiple of M treat the trailing partial block as its own (shorter)
+    /// block.
+    ///
+    /// This is lossy whenever a block has more than N non-zeros.
     pub fn view(&self, matrix: &Matrix) -> Matrix {
         let mut out = matrix.clone();
         self.view_inplace(&mut out);
@@ -99,20 +162,24 @@ impl NmPattern {
 
     /// In-place variant of [`NmPattern::view`].
     pub fn view_inplace(&self, matrix: &mut Matrix) {
-        let m = self.m;
-        let n = self.n;
         for i in 0..matrix.rows() {
-            let row = matrix.row_mut(i);
-            for block in row.chunks_mut(m) {
-                keep_top_n(block, n);
+            for block in matrix.row_mut(i).chunks_mut(self.m) {
+                let kept = self.kept_lanes(block);
+                // A block with fewer than N nonzeros also keeps its earliest zero lanes up
+                // to N, untouched: that only decides which zeros keep their sign bit.
+                let mut spare = self.n - kept.count_ones() as usize;
+                for (lane, x) in block.iter_mut().enumerate() {
+                    if kept >> lane & 1 == 1 {
+                        continue;
+                    }
+                    if *x == 0.0 && spare > 0 {
+                        spare -= 1;
+                    } else {
+                        *x = 0.0;
+                    }
+                }
             }
         }
-    }
-
-    /// Returns the residual `matrix - view(matrix)`, i.e. the elements dropped by the view.
-    pub fn residual(&self, matrix: &Matrix) -> Matrix {
-        let view = self.view(matrix);
-        matrix.try_sub(&view).expect("view preserves shape")
     }
 
     /// Number of blocks per row for a matrix with `cols` columns (including a trailing
@@ -126,28 +193,6 @@ impl NmPattern {
         let full_blocks = cols / self.m;
         let tail = cols % self.m;
         rows * (full_blocks * self.n + tail.min(self.n))
-    }
-}
-
-/// Keeps the `n` largest-magnitude entries of `block` and zeroes the rest.
-///
-/// Ties are broken in favour of earlier positions, which makes the extraction
-/// deterministic (important for reproducible decompositions).
-pub(crate) fn keep_top_n(block: &mut [f32], n: usize) {
-    if block.len() <= n {
-        return;
-    }
-    // Indices sorted by descending magnitude, stable on ties.
-    let mut idx: Vec<usize> = (0..block.len()).collect();
-    idx.sort_by(|&a, &b| {
-        block[b]
-            .abs()
-            .partial_cmp(&block[a].abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    for &i in idx.iter().skip(n) {
-        block[i] = 0.0;
     }
 }
 
@@ -199,7 +244,7 @@ mod tests {
         assert_eq!(a1.sum(), 21.0);
         assert_eq!(a.sum(), 25.0);
         // Residual has the remaining 3 non-zeros summing to 4.
-        let r1 = p24.residual(&a);
+        let r1 = a.try_sub(&a1).unwrap();
         assert_eq!(r1.count_nonzeros(), 3);
         assert_eq!(r1.sum(), 4.0);
     }
@@ -220,7 +265,10 @@ mod tests {
         let a = Matrix::from_fn(4, 8, |i, j| ((i * 8 + j) % 5) as f32 - 2.0);
         let p = NmPattern::new(2, 4).unwrap();
         let v = p.view(&a);
-        let r = p.residual(&a);
+        let mut r = Matrix::zeros(4, 8);
+        let terms = crate::NmCompressed::extract_series(&a, &[p], Some(&mut r));
+        assert_eq!(terms[0].0.to_dense(), v);
+        assert_eq!(terms[0].1, r.count_nonzeros());
         assert_eq!(v.try_add(&r).unwrap(), a);
         // View and residual have disjoint supports.
         for (x, y) in v.iter().zip(r.iter()) {
@@ -268,10 +316,47 @@ mod tests {
     }
 
     #[test]
-    fn keep_top_n_tie_break_is_stable() {
-        let mut block = [2.0, -2.0, 2.0, 1.0];
-        keep_top_n(&mut block, 2);
-        assert_eq!(block, [2.0, -2.0, 0.0, 0.0]);
+    fn kept_lanes_tie_break_is_stable() {
+        let p = NmPattern::new(2, 4).unwrap();
+        // Three lanes tie on magnitude 2: the two earliest win, whatever their sign.
+        assert_eq!(p.kept_lanes(&[2.0, -2.0, 2.0, 1.0]), 0b0011);
+        assert_eq!(p.kept_lanes(&[1.0, 2.0, -2.0, 2.0]), 0b0110);
+        // At most N nonzeros: all of them, and no zero lane.
+        assert_eq!(p.kept_lanes(&[0.0, -0.0, 5.0, 0.0]), 0b0100);
+        // A trailing partial block.
+        assert_eq!(p.kept_lanes(&[3.0, -4.0, 1.0]), 0b0011);
+    }
+
+    #[test]
+    fn kept_lanes_ranks_nan_above_infinity_and_subnormals_above_zero() {
+        let p = NmPattern::new(1, 4).unwrap();
+        assert_eq!(p.kept_lanes(&[1.0, f32::NAN, 3.0, 2.0]), 0b0010);
+        assert_eq!(
+            p.kept_lanes(&[f32::NEG_INFINITY, f32::NAN, 3.0, 2.0]),
+            0b0010
+        );
+        assert_eq!(p.kept_lanes(&[1.0, f32::INFINITY, f32::MAX, 2.0]), 0b0010);
+        let tiny = f32::from_bits(1);
+        assert_eq!(p.kept_lanes(&[0.0, -tiny, tiny, -0.0]), 0b0010);
+    }
+
+    #[test]
+    fn block_size_is_capped_at_max_m() {
+        assert_eq!(NmPattern::MAX_M, 64);
+        assert!(NmPattern::new(1, 64).is_ok());
+        assert!(NmPattern::new(64, 64).is_ok());
+        assert_eq!(
+            NmPattern::new(1, 65),
+            Err(TensorError::InvalidPattern { n: 1, m: 65 })
+        );
+        assert!(NmPattern::new(1, 300).is_err());
+        // The widest block still selects through the 64-bit lane mask.
+        let p = NmPattern::new(2, 64).unwrap();
+        let mut block = [0.0f32; 64];
+        block[63] = -7.0;
+        block[0] = 1.0;
+        block[40] = 7.0;
+        assert_eq!(p.kept_lanes(&block), 1 << 40 | 1 << 63);
     }
 
     #[test]

@@ -48,8 +48,9 @@ pub struct NmCompressed {
 impl NmCompressed {
     /// Compresses a dense matrix that satisfies (or is to be clamped to) the N:M pattern.
     ///
-    /// If the matrix does not satisfy the pattern, the N:M *view* is taken first (largest
-    /// magnitudes kept), so this constructor is total; use
+    /// Each block keeps the lanes [`NmPattern::kept_lanes`] picks — every nonzero of a
+    /// conforming block, the N of largest magnitude otherwise — so this constructor is
+    /// total and equals compressing the pattern's view; use
     /// [`NmCompressed::from_dense_strict`] to reject non-conforming inputs instead.
     ///
     /// # Errors
@@ -57,16 +58,95 @@ impl NmCompressed {
     /// Currently infallible for any well-formed matrix, but returns `Result` to keep the
     /// signature uniform with the strict constructor.
     pub fn from_dense(matrix: &Matrix, pattern: NmPattern) -> Result<Self> {
-        let view = if pattern.is_satisfied_by(matrix) {
-            matrix.clone()
-        } else {
-            pattern.view(matrix)
-        };
-        Self::compress_conforming(&view, pattern)
+        let mut terms = Self::extract_series(matrix, &[pattern], None);
+        Ok(terms.pop().expect("one pattern extracts one term").0)
+    }
+
+    /// Extracts the terms of a greedy TASD series (paper Eq. 1–4) from `matrix` in one
+    /// pass: each row is copied once into a reused buffer; then for each pattern in order
+    /// and each of its blocks, the lanes [`NmPattern::kept_lanes`] picks are appended as
+    /// `(lane, value)` entries in lane order and zeroed in the buffer, so the next pattern
+    /// sees exactly what earlier ones left. Moving values out instead of subtracting them
+    /// puts each input value in at most one term, non-finite values included.
+    ///
+    /// Returns one term per pattern, each paired with the number of nonzeros the buffer
+    /// still held after it (the nonzeros its residual has). When `residual` is given, it
+    /// receives what the last pattern left of each row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `residual` does not have `matrix`'s shape.
+    // lint: hot-path
+    pub fn extract_series(
+        matrix: &Matrix,
+        patterns: &[NmPattern],
+        mut residual: Option<&mut Matrix>,
+    ) -> Vec<(NmCompressed, usize)> {
+        let (rows, cols) = matrix.shape();
+        let mut terms: Vec<(NmCompressed, usize)> = patterns
+            .iter()
+            .map(|&pattern| {
+                let mut block_ptr = Vec::with_capacity(rows * pattern.blocks_per_row(cols) + 1);
+                block_ptr.push(0);
+                let term = NmCompressed {
+                    rows,
+                    cols,
+                    pattern,
+                    entries: Vec::new(),
+                    block_ptr,
+                };
+                (term, 0)
+            })
+            .collect();
+        let mut buffer = vec![0.0f32; cols];
+        for i in 0..rows {
+            buffer.copy_from_slice(matrix.row(i));
+            let mut row_nonzeros = buffer.iter().filter(|&&x| x != 0.0).count();
+            for (term, nonzeros_left) in &mut terms {
+                row_nonzeros = term.extract_row(&mut buffer, row_nonzeros);
+                *nonzeros_left += row_nonzeros;
+            }
+            if let Some(residual) = residual.as_deref_mut() {
+                residual.row_mut(i).copy_from_slice(&buffer);
+            }
+        }
+        terms
+    }
+
+    /// Appends this term's entries for the next row, which holds `nonzeros` nonzeros,
+    /// moving each kept value out of `row`; returns the number of nonzeros left in it.
+    // lint: hot-path
+    fn extract_row(&mut self, row: &mut [f32], nonzeros: usize) -> usize {
+        if nonzeros == 0 {
+            // A row an earlier term emptied (or an all-zero one) adds only empty blocks.
+            let end = self.entries.len();
+            let blocks = self.pattern.blocks_per_row(row.len());
+            self.block_ptr.resize(self.block_ptr.len() + blocks, end);
+            return 0;
+        }
+        let mut nonzeros_left = 0;
+        for block in row.chunks_mut(self.pattern.m()) {
+            let (mut kept, left) = self.pattern.select(block);
+            nonzeros_left += left;
+            while kept != 0 {
+                let lane = kept.trailing_zeros() as usize;
+                kept &= kept - 1;
+                if let Some(x) = block.get_mut(lane) {
+                    self.entries.push(Entry {
+                        lane: lane as u8,
+                        value: *x,
+                    });
+                    *x = 0.0;
+                }
+            }
+            self.block_ptr.push(self.entries.len());
+        }
+        nonzeros_left
     }
 
     /// Compresses a dense matrix, returning an error if it does not already satisfy the
-    /// pattern.
+    /// pattern. Every nonzero of a conforming block is kept, exactly as
+    /// [`NmCompressed::from_dense`] keeps it.
     ///
     /// # Errors
     ///
@@ -77,37 +157,7 @@ impl NmCompressed {
                 "matrix does not satisfy {pattern} pattern"
             )));
         }
-        Self::compress_conforming(matrix, pattern)
-    }
-
-    fn compress_conforming(matrix: &Matrix, pattern: NmPattern) -> Result<Self> {
-        let rows = matrix.rows();
-        let cols = matrix.cols();
-        let bpr = pattern.blocks_per_row(cols);
-        let mut entries = Vec::new();
-        let mut block_ptr = Vec::with_capacity(rows * bpr + 1);
-        block_ptr.push(0);
-        for i in 0..rows {
-            let row = matrix.row(i);
-            for block in row.chunks(pattern.m()) {
-                for (lane, &v) in block.iter().enumerate() {
-                    if v != 0.0 {
-                        entries.push(Entry {
-                            lane: lane as u8,
-                            value: v,
-                        });
-                    }
-                }
-                block_ptr.push(entries.len());
-            }
-        }
-        Ok(NmCompressed {
-            rows,
-            cols,
-            pattern,
-            entries,
-            block_ptr,
-        })
+        Self::from_dense(matrix, pattern)
     }
 
     /// Number of rows of the logical (dense) matrix.

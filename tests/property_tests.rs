@@ -45,7 +45,9 @@ proptest! {
     ) {
         let a = MatrixGenerator::seeded(seed).sparse_normal(rows, cols, sparsity);
         let view = p.view(&a);
-        let residual = p.residual(&a);
+        let (series, residual) = decompose_with_residual(&a, &TasdConfig::single(p));
+        prop_assert_eq!(series.num_terms(), 1);
+        prop_assert_eq!(series.terms()[0].to_dense(), view.clone());
         prop_assert_eq!(view.try_add(&residual).unwrap(), a);
     }
 

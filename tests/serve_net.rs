@@ -15,6 +15,8 @@
 //!   socket: earlier requests complete, later requests get `ShuttingDown` frames.
 //! * **Malformed bytes** — a framing error is answered with a `BadFrame` error frame
 //!   (connection scope) and a clean close, never a panic or an RST.
+//! * **Unusable configs** — a config the engine cannot store (block size above
+//!   `NmPattern::MAX_M`) is a `BadRequest` frame and the connection stays open.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -241,6 +243,51 @@ fn malformed_frame_gets_bad_frame_error_then_clean_close() {
     assert!(tasd_serve::wire::read_frame(&mut stream, 1 << 20)
         .expect("clean close")
         .is_none());
+    server.shutdown();
+}
+
+/// A config whose block size exceeds `NmPattern::MAX_M` cannot be stored (lane
+/// metadata is one byte), so it is a `BadRequest` frame — with the request's id for a
+/// `Request`, connection-scoped for a registration — and the connection keeps serving.
+#[test]
+fn oversized_block_configs_get_bad_request_frames() {
+    let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    // One value, at column 290: lane 290 of a 1:300 block would not fit a byte.
+    let mut a = Matrix::zeros(1, 600);
+    a[(0, 290)] = 1.0;
+    let b = Matrix::from_fn(600, 1, |i, _| i as f32);
+
+    client
+        .request(1, &a, &b, Some("1:300"), None)
+        .expect("send");
+    match client.recv().expect("recv").expect("open") {
+        Frame::Error {
+            id: 1,
+            code: ErrorCode::BadRequest,
+            ..
+        } => {}
+        other => panic!("a 1:300 request should be BadRequest, got {other:?}"),
+    }
+    client
+        .update_weights("wide", &a, Some("1:300"))
+        .expect("send");
+    match client.recv().expect("recv").expect("open") {
+        Frame::Error {
+            id: CONNECTION_SCOPE_ID,
+            code: ErrorCode::BadRequest,
+            ..
+        } => {}
+        other => panic!("a 1:300 registration should be BadRequest, got {other:?}"),
+    }
+
+    // The same connection still serves, and the widest legal block is exact.
+    client.request(2, &a, &b, Some("1:64"), None).expect("send");
+    match client.recv().expect("recv").expect("open") {
+        Frame::Response { id: 2, output } => assert_eq!(output[(0, 0)], 290.0),
+        other => panic!("a 1:64 request should be answered, got {other:?}"),
+    }
+    assert!(server.store().resolve("wide").is_none());
     server.shutdown();
 }
 
