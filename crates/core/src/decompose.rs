@@ -15,7 +15,7 @@ use tasd_tensor::{Matrix, NmCompressed};
 /// copied once into a reused buffer, and each term in turn writes its kept `(lane,
 /// value)` entries straight into its compressed storage and zeroes those lanes. Lanes
 /// are ranked by magnitude, keyed `abs().to_bits()`, and the earlier lane wins a tie
-/// ([`tasd_tensor::NmPattern::kept_lanes`]), so equal inputs always decompose to the
+/// (the selection rule of [`tasd_tensor::nm`]), so equal inputs always decompose to the
 /// same bits. A NaN ranks above `+inf`, and since kept values are moved out rather than
 /// subtracted, every input value — finite or not — lands in at most one term. Block
 /// sizes are capped at [`tasd_tensor::NmPattern::MAX_M`].

@@ -1,14 +1,14 @@
 //! Fine-grained N:M structured sparsity patterns and views.
 //!
 //! An N:M pattern constrains every block of M consecutive elements along a row to contain
-//! at most N non-zeros (paper §2.1). M is at most [`NmPattern::MAX_M`] = 64: a kept
-//! value's lane is one byte of metadata, and selection works on a 64-bit lane mask.
+//! at most N non-zeros (paper §2.1). M is at most [`NmPattern::MAX_M`] = 64, the width of
+//! the lane mask selection works on.
 //!
 //! Every structured extraction in the workspace — the N:M *view*, compression
 //! ([`crate::NmCompressed::from_dense`]) and each term of a TASD decomposition
-//! ([`crate::NmCompressed::extract_series`]) — picks its lanes through one rule,
-//! [`NmPattern::kept_lanes`]: in each block, the N nonzero values of largest magnitude,
-//! ranked by the key `abs().to_bits()` with the earlier lane winning ties. For finite
+//! ([`crate::NmCompressed::extract_series`]) — picks its lanes through one crate-private
+//! function, `NmPattern::select`: in each block, the N nonzero values of largest
+//! magnitude, ranked by the key `abs().to_bits()` with the earlier lane winning ties. For finite
 //! values that key orders exactly as magnitude does. A NaN is nonzero and its key ranks
 //! above `+inf`, so a non-finite value is always kept ahead of any finite one; an
 //! extraction moves a kept value out of the block rather than subtracting it, so each
@@ -37,9 +37,10 @@ pub struct NmPattern {
 }
 
 impl NmPattern {
-    /// The largest block size a pattern may have. A kept value's lane is stored in one
-    /// byte ([`crate::NmCompressed`], the snapshot format) and [`NmPattern::kept_lanes`]
-    /// returns a 64-bit lane mask; every pattern the paper evaluates has M ≤ 16.
+    /// The largest block size a pattern may have: the selection rule (see [`crate::nm`])
+    /// picks a block's lanes as a 64-bit mask. A kept value's lane is stored in one byte
+    /// ([`crate::NmCompressed`], the snapshot format), which this cap also keeps in range;
+    /// every pattern the paper evaluates has M ≤ 16.
     pub const MAX_M: usize = 64;
 
     /// Creates an N:M pattern.
@@ -98,21 +99,16 @@ impl NmPattern {
         true
     }
 
-    /// The lanes of `block` this pattern keeps, as a bit mask (bit `i` is lane `i`): the
-    /// N nonzero values of largest magnitude, or every nonzero value if there are at most
-    /// N. Candidates are ranked by the key `abs().to_bits()`, and the earlier lane wins a
-    /// tie, which makes every extraction deterministic. For finite values the key orders
-    /// exactly as magnitude does; a NaN ranks above `+inf`. Only the first M lanes of
-    /// `block` are considered.
+    /// The lanes of `block` this pattern keeps, as a bit mask (bit `i` is lane `i`),
+    /// returned with the number of nonzero lanes it leaves: the N nonzero values of
+    /// largest magnitude, or every nonzero value if there are at most N. Candidates are
+    /// ranked by the key `abs().to_bits()`, and the earlier lane wins a tie, which makes
+    /// every extraction deterministic. For finite values the key orders exactly as
+    /// magnitude does; a NaN ranks above `+inf`. Only the first M lanes of `block` are
+    /// considered.
     ///
     /// This is the one selection rule behind [`NmPattern::view`],
     /// [`crate::NmCompressed::from_dense`] and TASD decomposition.
-    // lint: hot-path
-    pub fn kept_lanes(&self, block: &[f32]) -> u64 {
-        self.select(block).0
-    }
-
-    /// [`NmPattern::kept_lanes`], returned with the number of nonzero lanes it leaves.
     // lint: hot-path
     pub(crate) fn select(&self, block: &[f32]) -> (u64, usize) {
         let mut candidates = 0u64;
@@ -149,7 +145,8 @@ impl NmPattern {
     }
 
     /// Produces the N:M view of `matrix`: in every length-M block of every row, the lanes
-    /// [`NmPattern::kept_lanes`] picks are kept and all others are set to zero. Rows whose
+    /// the selection rule picks (see [`crate::nm`]) are kept and all others are set to
+    /// zero. Rows whose
     /// width is not a multiple of M treat the trailing partial block as its own (shorter)
     /// block.
     ///
@@ -164,7 +161,7 @@ impl NmPattern {
     pub fn view_inplace(&self, matrix: &mut Matrix) {
         for i in 0..matrix.rows() {
             for block in matrix.row_mut(i).chunks_mut(self.m) {
-                let kept = self.kept_lanes(block);
+                let (kept, _) = self.select(block);
                 // A block with fewer than N nonzeros also keeps its earliest zero lanes up
                 // to N, untouched: that only decides which zeros keep their sign bit.
                 let mut spare = self.n - kept.count_ones() as usize;
@@ -316,28 +313,29 @@ mod tests {
     }
 
     #[test]
-    fn kept_lanes_tie_break_is_stable() {
+    fn select_tie_break_is_stable() {
         let p = NmPattern::new(2, 4).unwrap();
-        // Three lanes tie on magnitude 2: the two earliest win, whatever their sign.
-        assert_eq!(p.kept_lanes(&[2.0, -2.0, 2.0, 1.0]), 0b0011);
-        assert_eq!(p.kept_lanes(&[1.0, 2.0, -2.0, 2.0]), 0b0110);
+        // Three lanes tie on magnitude 2: the two earliest win, whatever their sign, and
+        // two nonzero lanes are left.
+        assert_eq!(p.select(&[2.0, -2.0, 2.0, 1.0]), (0b0011, 2));
+        assert_eq!(p.select(&[1.0, 2.0, -2.0, 2.0]), (0b0110, 2));
         // At most N nonzeros: all of them, and no zero lane.
-        assert_eq!(p.kept_lanes(&[0.0, -0.0, 5.0, 0.0]), 0b0100);
+        assert_eq!(p.select(&[0.0, -0.0, 5.0, 0.0]), (0b0100, 0));
         // A trailing partial block.
-        assert_eq!(p.kept_lanes(&[3.0, -4.0, 1.0]), 0b0011);
+        assert_eq!(p.select(&[3.0, -4.0, 1.0]), (0b0011, 1));
     }
 
     #[test]
-    fn kept_lanes_ranks_nan_above_infinity_and_subnormals_above_zero() {
+    fn select_ranks_nan_above_infinity_and_subnormals_above_zero() {
         let p = NmPattern::new(1, 4).unwrap();
-        assert_eq!(p.kept_lanes(&[1.0, f32::NAN, 3.0, 2.0]), 0b0010);
+        assert_eq!(p.select(&[1.0, f32::NAN, 3.0, 2.0]), (0b0010, 3));
         assert_eq!(
-            p.kept_lanes(&[f32::NEG_INFINITY, f32::NAN, 3.0, 2.0]),
-            0b0010
+            p.select(&[f32::NEG_INFINITY, f32::NAN, 3.0, 2.0]),
+            (0b0010, 3)
         );
-        assert_eq!(p.kept_lanes(&[1.0, f32::INFINITY, f32::MAX, 2.0]), 0b0010);
+        assert_eq!(p.select(&[1.0, f32::INFINITY, f32::MAX, 2.0]), (0b0010, 3));
         let tiny = f32::from_bits(1);
-        assert_eq!(p.kept_lanes(&[0.0, -tiny, tiny, -0.0]), 0b0010);
+        assert_eq!(p.select(&[0.0, -tiny, tiny, -0.0]), (0b0010, 1));
     }
 
     #[test]
@@ -356,7 +354,7 @@ mod tests {
         block[63] = -7.0;
         block[0] = 1.0;
         block[40] = 7.0;
-        assert_eq!(p.kept_lanes(&block), 1 << 40 | 1 << 63);
+        assert_eq!(p.select(&block), (1 << 40 | 1 << 63, 1));
     }
 
     #[test]

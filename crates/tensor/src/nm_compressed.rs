@@ -48,9 +48,9 @@ pub struct NmCompressed {
 impl NmCompressed {
     /// Compresses a dense matrix that satisfies (or is to be clamped to) the N:M pattern.
     ///
-    /// Each block keeps the lanes [`NmPattern::kept_lanes`] picks — every nonzero of a
-    /// conforming block, the N of largest magnitude otherwise — so this constructor is
-    /// total and equals compressing the pattern's view; use
+    /// Each block keeps the lanes the pattern's selection rule picks (see [`crate::nm`]) —
+    /// every nonzero of a conforming block, the N of largest magnitude otherwise — so this
+    /// constructor is total and equals compressing the pattern's view; use
     /// [`NmCompressed::from_dense_strict`] to reject non-conforming inputs instead.
     ///
     /// # Errors
@@ -64,10 +64,11 @@ impl NmCompressed {
 
     /// Extracts the terms of a greedy TASD series (paper Eq. 1–4) from `matrix` in one
     /// pass: each row is copied once into a reused buffer; then for each pattern in order
-    /// and each of its blocks, the lanes [`NmPattern::kept_lanes`] picks are appended as
-    /// `(lane, value)` entries in lane order and zeroed in the buffer, so the next pattern
-    /// sees exactly what earlier ones left. Moving values out instead of subtracting them
-    /// puts each input value in at most one term, non-finite values included.
+    /// and each of its blocks, the lanes the selection rule picks (see [`crate::nm`]) are
+    /// appended as `(lane, value)` entries in lane order and zeroed in the buffer, so the
+    /// next pattern sees exactly what earlier ones left. Moving values out instead of
+    /// subtracting them puts each input value in at most one term, non-finite values
+    /// included.
     ///
     /// Returns one term per pattern, each paired with the number of nonzeros the buffer
     /// still held after it (the nonzeros its residual has). When `residual` is given, it
@@ -101,10 +102,8 @@ impl NmCompressed {
         let mut buffer = vec![0.0f32; cols];
         for i in 0..rows {
             buffer.copy_from_slice(matrix.row(i));
-            let mut row_nonzeros = buffer.iter().filter(|&&x| x != 0.0).count();
             for (term, nonzeros_left) in &mut terms {
-                row_nonzeros = term.extract_row(&mut buffer, row_nonzeros);
-                *nonzeros_left += row_nonzeros;
+                *nonzeros_left += term.extract_row(&mut buffer);
             }
             if let Some(residual) = residual.as_deref_mut() {
                 residual.row_mut(i).copy_from_slice(&buffer);
@@ -113,17 +112,10 @@ impl NmCompressed {
         terms
     }
 
-    /// Appends this term's entries for the next row, which holds `nonzeros` nonzeros,
-    /// moving each kept value out of `row`; returns the number of nonzeros left in it.
+    /// Appends this term's entries for the next row, moving each kept value out of `row`;
+    /// returns the number of nonzeros left in it.
     // lint: hot-path
-    fn extract_row(&mut self, row: &mut [f32], nonzeros: usize) -> usize {
-        if nonzeros == 0 {
-            // A row an earlier term emptied (or an all-zero one) adds only empty blocks.
-            let end = self.entries.len();
-            let blocks = self.pattern.blocks_per_row(row.len());
-            self.block_ptr.resize(self.block_ptr.len() + blocks, end);
-            return 0;
-        }
+    fn extract_row(&mut self, row: &mut [f32]) -> usize {
         let mut nonzeros_left = 0;
         for block in row.chunks_mut(self.pattern.m()) {
             let (mut kept, left) = self.pattern.select(block);

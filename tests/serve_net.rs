@@ -246,8 +246,8 @@ fn malformed_frame_gets_bad_frame_error_then_clean_close() {
     server.shutdown();
 }
 
-/// A config whose block size exceeds `NmPattern::MAX_M` cannot be stored (lane
-/// metadata is one byte), so it is a `BadRequest` frame — with the request's id for a
+/// A config whose block size exceeds `NmPattern::MAX_M` (the width of the 64-bit lane
+/// selection mask) is refused, so it is a `BadRequest` frame — with the request's id for a
 /// `Request`, connection-scoped for a registration — and the connection keeps serving.
 #[test]
 fn oversized_block_configs_get_bad_request_frames() {
