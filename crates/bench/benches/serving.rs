@@ -26,8 +26,8 @@
 //!    conversions / replans / rescans, one cache hit per shard). Sharded-vs-unsharded
 //!    ns/iter is recorded into `BENCH_serving.json` (`submit_sharded/*`), not gated —
 //!    shard parallelism is a multi-core win and CI runs on one core;
-//! 6. the **async serving** micro-batch window ([`serving_window_gate`]): a 2 ms window
-//!    on a stepped session clock coalesces ≥ 2 late arrivals into one decomposition (≥ 1
+//! 6. the **async serving** micro-batch window ([`serving_window_gate`]): one window of
+//!    three same-operand requests, closed by one `flush`, performs one decomposition (≥ 1
 //!    fewer than the same requests submitted individually), bitwise identical to
 //!    per-request execution. Warm window-vs-per-request ns/iter is recorded as
 //!    `serving_async/*`;
@@ -388,33 +388,20 @@ fn measure_sharded(rec: &mut BenchRecorder) {
 
 /// The async-serving micro-batch window gate (always run, including `-- --test` smoke):
 ///
-/// 1. a **2 ms window coalesces late arrivals**: on a cache-less engine (so the
-///    decomposition count measures coalescing directly) and a stepped [`MockClock`],
-///    one enqueue + an age check at 1 ms + two late enqueues + an age check at 2 ms
-///    dispatch as **one** window performing **one** decomposition, where the same three
-///    requests submitted individually perform three — the window saves ≥ 1
-///    decomposition, the acceptance criterion;
+/// 1. **a window coalesces what it holds**: on a cache-less engine (so the
+///    decomposition count measures coalescing directly) and a session with no
+///    dispatcher, three same-operand enqueues closed by one `flush` dispatch as **one**
+///    window performing **one** decomposition, where the same three requests submitted
+///    individually perform three — the window saves ≥ 1 decomposition, the acceptance
+///    criterion;
 /// 2. window outputs are **bitwise identical** to individual per-request `submit`s.
 fn serving_window_gate(_c: &mut Criterion) {
     let (a, panels, cfg) = workload(0.9, 8);
 
     // -- Gate 1 + 2: the coalescing window vs individual submits. ----------------------
     let engine = Arc::new(ExecutionEngine::builder().cache_capacity(0).build());
-    let clock = Arc::new(MockClock::new());
-    let serving = ServingEngine::over_with_clock(Arc::clone(&engine), clock.clone())
-        .with_max_wait(Duration::from_millis(2))
-        .with_max_batch(64);
-    let h0 = serving.enqueue(BatchRequest::decomposed(
-        Arc::clone(&a),
-        cfg.clone(),
-        panels[0].clone(),
-    ));
-    clock.advance(Duration::from_millis(1));
-    assert!(
-        !serving.dispatch_due(),
-        "1 of 2 ms: the window must stay open"
-    );
-    let late: Vec<_> = panels[1..3]
+    let serving = ServingEngine::over(Arc::clone(&engine)).with_max_batch(64);
+    let handles: Vec<_> = panels[..3]
         .iter()
         .map(|b| {
             serving.enqueue(BatchRequest::decomposed(
@@ -424,18 +411,22 @@ fn serving_window_gate(_c: &mut Criterion) {
             ))
         })
         .collect();
-    clock.advance(Duration::from_millis(1));
     assert!(
-        serving.dispatch_due(),
-        "2 of 2 ms: the window must dispatch"
+        handles.iter().all(|h| !h.is_ready()),
+        "without a dispatcher the window holds until it is closed"
+    );
+    let telemetry = serving.flush().expect("three parked requests");
+    assert_eq!(
+        telemetry.requests, 3,
+        "one flush closes one window of three"
     );
     let window_decompositions = engine.prep_stats().prepares;
     assert_eq!(
         window_decompositions, 1,
-        "a 2 ms window must coalesce 3 requests into one decomposition"
+        "one window must coalesce 3 requests into one decomposition"
     );
-    let mut outs = vec![h0.wait()];
-    outs.extend(late.into_iter().map(|h| h.wait()));
+    let outs: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
+    assert_eq!(serving.stats().windows, 1);
     assert_eq!(serving.stats().coalesced_windows, 1);
 
     let individual_engine = ExecutionEngine::builder().cache_capacity(0).build();
@@ -458,7 +449,7 @@ fn serving_window_gate(_c: &mut Criterion) {
          ({window_decompositions} vs {individual_decompositions})"
     );
 
-    println!("serving window gate: 2 ms coalescing + bitwise contracts verified");
+    println!("serving window gate: coalescing + bitwise contracts verified");
 }
 
 /// Warm async serving (one coalesced micro-batch window) vs warm per-request `submit`
@@ -759,7 +750,7 @@ fn measure_serving_net(rec: &mut BenchRecorder) {
     assert_eq!(report.errors, 0, "load traffic must not be rejected");
     let label = format!(
         "net conns={NET_CONNECTIONS} reqs={} shapes=96x128@0.9+128x96@0.7 \
-         panels={PANEL_COLS} cfg={NET_CFG} max_wait=1ms",
+         panels={PANEL_COLS} cfg={NET_CFG}",
         spec.requests_per_connection
     );
     rec.record("serving_net/p50", &label, report.p50);

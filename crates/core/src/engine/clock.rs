@@ -1,11 +1,11 @@
-//! Injectable time source for the serving layer: one timeline for window age and
-//! request deadlines.
+//! Injectable time source for the serving layer: the one timeline for request
+//! deadlines.
 //!
-//! Rather than reading [`Instant::now`] inline — which would make window and deadline
-//! behavior untestable — a [`ServingEngine`](super::ServingEngine) session reads time
-//! through the [`Clock`] it was constructed with: [`MonotonicClock`] in production, a
-//! stepped [`MockClock`] in tests, so a test can age a window or expire a deadline by
-//! calling [`MockClock::advance`] instead of sleeping.
+//! Rather than reading [`Instant::now`] inline — which would make deadline behavior
+//! untestable — a [`ServingEngine`](super::ServingEngine) session reads time through the
+//! [`Clock`] it was constructed with: [`MonotonicClock`] in production, a stepped
+//! [`MockClock`] in tests, so a test can expire a deadline by calling
+//! [`MockClock::advance`] instead of sleeping.
 //!
 //! Time is a monotonic [`Duration`] from an arbitrary per-clock origin: only
 //! differences are meaningful, and a deadline is an absolute instant on the same
@@ -15,7 +15,7 @@ use super::sync::lock_or_panic;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// A monotonic time source the serving layer reads window age and deadlines against.
+/// A monotonic time source the serving layer reads deadlines against.
 ///
 /// Implementations must never go backwards. `now()` is an offset from an arbitrary
 /// origin fixed at construction — compare instants from the same clock only.

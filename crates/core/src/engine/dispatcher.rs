@@ -1,23 +1,23 @@
-//! Window ownership: a background thread that closes aged windows.
+//! Window ownership: a background thread that closes the open window whenever no window
+//! is executing.
 //!
-//! A request parked in the open window is due once it has waited `max_wait` on the
-//! session [`Clock`](super::Clock), but age alone closes nothing: if nobody looks, a
-//! request whose caller only polls (or is a network writer that must not force
-//! dispatch) waits until the next enqueue, flush, or blocking `wait()` — possibly
-//! forever. [`ServingEngine::spawn_dispatcher`] gives the window an owner. Its thread
-//! sleeps on a condvar paired with the session lock and wakes only when it has
-//! something to do: [`enqueue`](ServingEngine::enqueue) notifies it when a request
-//! opens a window, and it then sleeps exactly until that window's oldest request is
-//! due, closes the window, and goes back to sleep. An idle session costs it no
-//! wake-ups, and a window closes `max_wait` after it opened, not on the next poll.
+//! A parked request closes nothing by itself: if nobody acts, a request whose caller
+//! only polls (or is a network writer that must not force dispatch) waits until the
+//! next flush, blocking `wait()` or full window — possibly forever.
+//! [`ServingEngine::spawn_dispatcher`] gives the window an owner. Its thread sleeps on
+//! a condvar paired with the session lock while nothing is parked;
+//! [`enqueue`](ServingEngine::enqueue) notifies it when a request opens a window, and it
+//! closes that window at once. Windows execute one at a time, so the requests that
+//! arrive while one executes park and form the next. The dispatcher is
+//! work-conserving — a parked request never waits while no window executes — and how
+//! requests coalesce follows the load, not a timer. An idle session costs it no
+//! wake-ups.
 //!
-//! The dispatcher closes windows through the same
-//! [`dispatch_due`](ServingEngine::dispatch_due) check anyone may call, so tests that
-//! never spawn one (stepping a [`MockClock`](super::MockClock) and calling
-//! `dispatch_due` by hand) keep their exact semantics, and a dispatched session's
-//! *results* are still bitwise independent of window composition (the serving
-//! module's contract). It takes no lock of its own: its stop flag is set under the
-//! session lock it sleeps on.
+//! The dispatcher closes windows through the same path as
+//! [`flush`](ServingEngine::flush), so a dispatched session's *results* are still
+//! bitwise independent of window composition (the serving module's contract). Its loop
+//! reads no clock and takes no lock of its own: its stop flag is set under the session
+//! lock it sleeps on.
 //!
 //! The [`DispatcherHandle`] owns the thread: [`stop`](DispatcherHandle::stop) (or drop)
 //! signals it and joins, so a dispatcher never outlives the scope that spawned it. The
@@ -44,7 +44,7 @@ pub struct DispatcherHandle {
 
 impl DispatcherHandle {
     /// Signals the dispatcher thread to exit and joins it. A sleeping dispatcher is
-    /// woken, so stop latency is bounded by one in-flight window, not by `max_wait`.
+    /// woken, so stop latency is bounded by one in-flight window.
     ///
     /// # Panics
     ///
@@ -76,20 +76,20 @@ impl Drop for DispatcherHandle {
 }
 
 impl ServingEngine {
-    /// Spawns a background thread that owns this session's open window: it sleeps until
-    /// a window opens and its oldest request has waited
-    /// [`max_wait`](Self::with_max_wait), closes it, and repeats until the returned
-    /// [`DispatcherHandle`] is stopped or dropped.
+    /// Spawns a background thread that owns this session's open window: it sleeps while
+    /// nothing is parked, closes the open window whenever requests are parked and no
+    /// window is executing, and repeats until the returned [`DispatcherHandle`] is
+    /// stopped or dropped.
     ///
     /// With a dispatcher running, a request enqueued and then never touched (no further
-    /// enqueues, no `wait`, no `flush`) still resolves about `max_wait` later. This is
-    /// the production window owner (design notes in `engine/dispatcher.rs`); see
+    /// enqueues, no `wait`, no `flush`) still resolves as soon as the window ahead of it
+    /// finishes. This is the production window owner (design notes in
+    /// `engine/dispatcher.rs`); see
     /// [`ResponseHandle::wait_without_dispatch`](super::ResponseHandle::wait_without_dispatch),
     /// the passive wait that relies on it.
     ///
-    /// The dispatcher drives the session this engine handle was configured with (its
-    /// `max_wait`). Multiple dispatchers on one session are harmless (each window is
-    /// closed once) but pointless — spawn one per session.
+    /// Multiple dispatchers on one session are harmless (each window is closed once) but
+    /// pointless — spawn one per session.
     pub fn spawn_dispatcher(&self) -> DispatcherHandle {
         let stop = Arc::new(AtomicBool::new(false));
         let session = self.clone();
@@ -109,7 +109,7 @@ impl ServingEngine {
 #[cfg(test)]
 mod tests {
     use super::super::batch::BatchRequest;
-    use super::super::{Clock, ExecutionEngine};
+    use super::super::{Clock, ExecutionEngine, MockClock};
     use super::*;
     use crate::config::TasdConfig;
     use std::panic::AssertUnwindSafe;
@@ -140,11 +140,9 @@ mod tests {
     #[test]
     fn dispatcher_resolves_a_parked_request_after_an_idle_spell() {
         // Regression: a 1 ms polling timer woke about 100 times in 100 ms of idleness.
-        // The dispatcher sleeps until a window opens, then until it is due.
+        // The dispatcher sleeps until a window opens, then closes it at once.
         let mut gen = MatrixGenerator::seeded(0x71C4);
-        let serving = ExecutionEngine::builder()
-            .serving()
-            .with_max_wait(Duration::from_millis(1));
+        let serving = ExecutionEngine::builder().serving();
         let dispatcher = serving.spawn_dispatcher();
         std::thread::sleep(Duration::from_millis(100));
         let handle = serving.enqueue(request(&mut gen));
@@ -157,11 +155,27 @@ mod tests {
         dispatcher.stop();
         let stats = serving.stats();
         assert_eq!(stats.windows, 1);
-        assert!(
-            stats.ticks <= 5,
-            "{} window-age checks for one window after an idle spell",
-            stats.ticks
+        assert_eq!(
+            stats.ticks, 1,
+            "one wake-up for one window after an idle spell"
         );
+    }
+
+    #[test]
+    fn dispatcher_on_a_frozen_clock_still_resolves_a_lone_request() {
+        // Nothing reads time to close a window, so a session clock that never advances
+        // delays nothing.
+        let mut gen = MatrixGenerator::seeded(0x71C7);
+        let engine = Arc::new(ExecutionEngine::builder().build());
+        let serving = ServingEngine::over_with_clock(engine, Arc::new(MockClock::new()));
+        let dispatcher = serving.spawn_dispatcher();
+        let handle = serving.enqueue(request(&mut gen));
+        assert!(
+            resolves_within(Duration::from_secs(10), || handle.is_ready()),
+            "the dispatcher must close the window without the clock moving"
+        );
+        assert!(handle.wait_without_dispatch().output.is_ok());
+        dispatcher.stop();
     }
 
     #[test]
@@ -171,20 +185,17 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         dispatcher.stop();
         let stats = serving.stats();
-        assert_eq!(stats.ticks, 0, "no open window, nothing to check");
+        assert_eq!(stats.ticks, 0, "no open window, nothing to close");
         assert_eq!(stats.windows, 0, "an empty window never dispatches");
     }
 
     #[test]
     fn dispatcher_stops_promptly_and_drop_joins() {
         let mut gen = MatrixGenerator::seeded(0x71C5);
-        let serving = ExecutionEngine::builder()
-            .serving()
-            .with_max_wait(Duration::from_secs(3600));
+        let serving = ExecutionEngine::builder().serving();
         let dispatcher = serving.spawn_dispatcher();
-        // A parked request puts the dispatcher in an hour-long timed sleep; stop must
-        // interrupt it, not wait it out.
-        let parked = serving.enqueue(request(&mut gen));
+        // An idle dispatcher sleeps with no timeout at all; stop must wake it, not wait
+        // for traffic.
         std::thread::sleep(Duration::from_millis(5));
         let start = Instant::now();
         dispatcher.stop();
@@ -192,7 +203,8 @@ mod tests {
             start.elapsed() < Duration::from_secs(30),
             "stop must interrupt the dispatcher's sleep"
         );
-        assert!(!parked.is_ready(), "the hour-long window never aged out");
+        let parked = serving.enqueue(request(&mut gen));
+        assert!(!parked.is_ready(), "a stopped dispatcher closes no window");
         // A second dispatcher on the same session spawns, and dropping it joins it.
         let again = serving.spawn_dispatcher();
         let stop = Arc::clone(&again.stop);
@@ -201,17 +213,19 @@ mod tests {
         assert!(parked.wait().output.is_ok());
     }
 
-    /// A clock that fails on the dispatcher thread once armed: the clock read is the
-    /// one step of the dispatcher loop outside every window's panic containment.
+    /// A clock that fails on the dispatcher thread once armed. The dispatcher's only
+    /// clock read is the deadline filter of the window it closes.
     #[derive(Debug, Default)]
     struct DispatcherFailingClock {
         armed: AtomicBool,
+        fired: AtomicBool,
     }
 
     impl Clock for DispatcherFailingClock {
         fn now(&self) -> Duration {
             let dispatcher = std::thread::current().name() == Some("tasd-serving-dispatcher");
             if dispatcher && self.armed.load(Ordering::Acquire) {
+                self.fired.store(true, Ordering::Release);
                 panic!("clock failed on the dispatcher thread");
             }
             Duration::ZERO
@@ -225,16 +239,26 @@ mod tests {
         let serving = ServingEngine::over_with_clock(engine, clock.clone());
         let dispatcher = serving.spawn_dispatcher();
         clock.armed.store(true, Ordering::Release);
-        // Opening a window wakes the dispatcher, whose next clock read panics.
+        // Opening a window wakes the dispatcher, whose window close reads the clock and
+        // panics. The dispatcher checks `stop` before it closes a window, so let the
+        // panic happen before stopping it.
         let parked = serving.enqueue(request(&mut MatrixGenerator::seeded(0x71C6)));
+        assert!(resolves_within(Duration::from_secs(10), || clock
+            .fired
+            .load(Ordering::Acquire)));
         let stopped = std::panic::catch_unwind(AssertUnwindSafe(|| dispatcher.stop()));
         assert!(
             stopped.is_err(),
             "the dispatcher's panic must reach its owner"
         );
-        assert!(
-            parked.wait().output.is_ok(),
-            "the session outlives its dispatcher"
-        );
+        // The panic unwound under the dispatch lock, so the session fails loudly from
+        // here on, naming that lock, rather than hanging its waiters.
+        let served = std::panic::catch_unwind(AssertUnwindSafe(|| parked.wait()));
+        let payload = served.expect_err("a poisoned dispatch lock must not serve");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(message.contains("dispatch lock"), "{message}");
     }
 }

@@ -24,10 +24,14 @@
 //!   isolation path contains.
 //!
 //! Production builds carry only an `Option` check per site when no plan is attached.
+//!
+//! Beside them, [`LatchedBackend`] holds kernels instead of failing them: a test opens a
+//! window, waits until its kernel has started, and knows for certain that the window is
+//! executing — where a [`FaultKind::Delay`] only sleeps and leaves that to timing.
 
-use super::sync::lock_or_panic;
+use super::sync::{lock_or_panic, wait_or_panic};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 use tasd_tensor::backend::{GemmBackend, GemmOperand};
 use tasd_tensor::{Matrix, Result, TensorError};
@@ -280,6 +284,104 @@ impl GemmBackend for FaultyBackend {
         outs: &mut [Matrix],
     ) -> Result<()> {
         self.plan.trip(FaultSite::Gemm)?;
+        self.inner.gemm_multi_into(lhs, panels, outs)
+    }
+
+    fn cost_hint(&self, lhs: &dyn GemmOperand, n_cols: usize) -> tasd_tensor::backend::CostHint {
+        self.inner.cost_hint(lhs, n_cols)
+    }
+}
+
+/// A [`GemmBackend`] decorator that holds kernels on a latch the test releases: each
+/// whole-operand kernel entry (`gemm_into` / `gemm_multi_into`) counts itself as
+/// started, blocks until [`release`](Self::release), then delegates to the wrapped
+/// backend. Row-block sub-calls (`gemm_rows_into`) delegate without blocking, as in
+/// [`FaultyBackend`].
+///
+/// With [`wait_entered`](Self::wait_entered), a test knows a window is executing — not
+/// merely that it probably started — so what arrives meanwhile, and which window it
+/// joins, is deterministic. Release the latch before dropping anything that joins the
+/// blocked thread.
+#[derive(Debug)]
+pub struct LatchedBackend {
+    inner: Arc<dyn GemmBackend>,
+    latch: Mutex<LatchState>,
+    changed: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct LatchState {
+    /// Kernel entries started so far, held or passed.
+    entered: u64,
+    /// Whether [`LatchedBackend::release`] has opened the latch.
+    released: bool,
+}
+
+impl LatchedBackend {
+    /// Wraps `inner` behind a closed latch.
+    pub fn wrap(inner: Arc<dyn GemmBackend>) -> Self {
+        LatchedBackend {
+            inner,
+            latch: Mutex::new(LatchState::default()),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Blocks until at least `count` kernel entries have started.
+    pub fn wait_entered(&self, count: u64) {
+        let mut latch = lock_or_panic(&self.latch, "backend latch");
+        while latch.entered < count {
+            latch = wait_or_panic(&self.changed, latch, "backend latch");
+        }
+    }
+
+    /// Opens the latch for good: held kernels proceed and later ones pass straight
+    /// through.
+    pub fn release(&self) {
+        lock_or_panic(&self.latch, "backend latch").released = true;
+        self.changed.notify_all();
+    }
+
+    /// Counts one kernel entry, then blocks while the latch is closed.
+    fn enter(&self) {
+        let mut latch = lock_or_panic(&self.latch, "backend latch");
+        latch.entered += 1;
+        self.changed.notify_all();
+        while !latch.released {
+            latch = wait_or_panic(&self.changed, latch, "backend latch");
+        }
+    }
+}
+
+impl GemmBackend for LatchedBackend {
+    fn name(&self) -> &'static str {
+        "latched"
+    }
+
+    fn gemm_into(&self, lhs: &dyn GemmOperand, b: &Matrix, c: &mut Matrix) -> Result<()> {
+        self.enter();
+        self.inner.gemm_into(lhs, b, c)
+    }
+
+    fn gemm_rows_into(
+        &self,
+        lhs: &dyn GemmOperand,
+        b: &Matrix,
+        r0: usize,
+        r1: usize,
+        c_rows: &mut [f32],
+        n_cols: usize,
+    ) {
+        self.inner.gemm_rows_into(lhs, b, r0, r1, c_rows, n_cols);
+    }
+
+    fn gemm_multi_into(
+        &self,
+        lhs: &dyn GemmOperand,
+        panels: &[&Matrix],
+        outs: &mut [Matrix],
+    ) -> Result<()> {
+        self.enter();
         self.inner.gemm_multi_into(lhs, panels, outs)
     }
 

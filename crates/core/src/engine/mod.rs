@@ -338,14 +338,11 @@ pub use cache::{CacheEntryStats, CacheStats, DecompositionCache};
 pub use clock::{Clock, MockClock, MonotonicClock};
 pub use deploy::{DeployError, DeployReport, Generation, WeightStore};
 pub use dispatcher::DispatcherHandle;
-pub use faults::{FaultKind, FaultPlan, FaultRecord, FaultSite, FaultyBackend};
+pub use faults::{FaultKind, FaultPlan, FaultRecord, FaultSite, FaultyBackend, LatchedBackend};
 pub use persist::{load_snapshot, save_snapshot, LoadOutcome, SnapshotStats};
 pub use plan::{BackendKind, BackendTable, MatmulPlan, TermPlan};
 pub use prepared::{PreparedSeries, PreparedTerm};
-pub use serving::{
-    OverloadPolicy, ResponseHandle, ServingEngine, ServingStats, DEFAULT_MAX_BATCH,
-    DEFAULT_MAX_WAIT,
-};
+pub use serving::{OverloadPolicy, ResponseHandle, ServingEngine, ServingStats, DEFAULT_MAX_BATCH};
 pub use shard::{
     PreparedShard, ShardPolicy, ShardTelemetry, ShardedSeries, ShardedTelemetry,
     DEFAULT_SHARD_MIN_ROWS,
@@ -522,8 +519,9 @@ impl EngineBuilder {
 
     /// Builds the engine and wraps it in a [`ServingEngine`] session with the default
     /// micro-batch window — the one-call entry point to the serving lifecycle (see the
-    /// [module docs](self)). Tune the window with
-    /// [`ServingEngine::with_max_wait`] / [`with_max_batch`](ServingEngine::with_max_batch).
+    /// [module docs](self)). Tune the window size with
+    /// [`with_max_batch`](ServingEngine::with_max_batch); give the window an owner with
+    /// [`spawn_dispatcher`](ServingEngine::spawn_dispatcher).
     pub fn serving(self) -> ServingEngine {
         ServingEngine::over(Arc::new(self.build()))
     }

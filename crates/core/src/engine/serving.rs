@@ -11,15 +11,15 @@
 //!
 //! 1. **Enqueue** — [`enqueue`](ServingEngine::enqueue) accepts one [`BatchRequest`] and
 //!    immediately returns a [`ResponseHandle`]; the request joins the *open window*.
-//! 2. **Window** — the open window closes (dispatches) when it holds
+//! 2. **Window** — the open window closes (dispatches) when the session's dispatcher
+//!    finds no window executing, when it holds
 //!    [`max_batch`](ServingEngine::with_max_batch) requests (a dispatch trigger — the
 //!    closing drain takes everything pending, so a window can exceed it under
-//!    concurrent enqueue), when the oldest enqueued request has waited
-//!    [`max_wait`](ServingEngine::with_max_wait) on the session [`Clock`], or when
-//!    anyone calls [`flush`](ServingEngine::flush) / blocks on
-//!    [`ResponseHandle::wait`]. Until it closes, late arrivals keep joining — that is
-//!    the whole point: a window of `max_wait` turns `k` stragglers against one operand
-//!    into **one** decomposition and one packed kernel pass instead of `k`.
+//!    concurrent enqueue), or when anyone calls [`flush`](ServingEngine::flush) /
+//!    [`drain`](ServingEngine::drain) / blocks on [`ResponseHandle::wait`]. Requests
+//!    that arrive while a window executes join the next one — that is the whole point:
+//!    under load, `k` stragglers against one operand become **one** decomposition and
+//!    one packed kernel pass instead of `k`, and no request waits on a timer.
 //! 3. **Group + execute** — a closing window is handed to the engine's batch executor
 //!    verbatim: the same grouping key `(fingerprint, shape, config)`, the same
 //!    shortest-plan-first admission under the fairness cap, the same packed multi-RHS
@@ -28,31 +28,31 @@
 //! 4. **Handle** — each request's [`BatchResponse`] lands in its handle;
 //!    [`is_ready`](ResponseHandle::is_ready) / [`try_take`](ResponseHandle::try_take)
 //!    poll, [`wait`](ResponseHandle::wait) blocks (closing the window first, so a lone
-//!    waiter never hangs on a window nobody else will fill).
+//!    waiter never hangs on a window nobody else will close).
 //!
 //! Windows are dispatched **serially** (an internal dispatch lock): concurrent
 //! enqueuers feed one stream of windows, and each window runs on the engine's shared
 //! [`Executor`](super::ExecutionEngine::workers) — never on per-call threads — so any
 //! number of serving threads drive exactly one worker pool.
 //!
-//! # Window ownership: who closes an aged window?
+//! # Window ownership: who closes the open window?
 //!
-//! Window age and request deadlines read one timeline, the session [`Clock`]: every
-//! parked request records `clock.now()` at enqueue, and the window is due once its
-//! oldest request has waited `max_wait`. Age alone closes nothing, though — someone
-//! must look. [`dispatch_due`](ServingEngine::dispatch_due) is that look, callable by
-//! anyone: tests step a [`MockClock`](super::MockClock) and call it, so window timing
-//! stays deterministic. A deployment gives the window an **owner** instead:
+//! A parked request closes nothing by itself — someone must close its window. A
+//! deployment gives the window an **owner**:
 //! [`spawn_dispatcher`](ServingEngine::spawn_dispatcher) starts one background thread
-//! that sleeps on a condvar paired with the session lock — woken by
-//! [`enqueue`](ServingEngine::enqueue) when a window opens — until the oldest parked
-//! request is due, then closes the window. An idle session costs it no wake-ups at
-//! all, and a window closes `max_wait` after its first request, not on the next
-//! poll. Without an owner, a request parked with no follow-up traffic waits until its
-//! own caller blocks in [`wait`](ResponseHandle::wait). With one running,
-//! [`ResponseHandle::wait_without_dispatch`] becomes safe: a response consumer (e.g. a
-//! network connection's writer thread) can block on delivery without collapsing the
-//! window the way `wait` would.
+//! that sleeps on a condvar paired with the session lock while nothing is parked —
+//! woken by [`enqueue`](ServingEngine::enqueue) when a window opens — and closes the
+//! open window as soon as no window is executing. Dispatch is work-conserving (the
+//! continuous batching of Orca, OSDI '22): at low rate a request runs at once, alone,
+//! and under load the requests that park while one window executes form the next, so
+//! the load itself, not a timer, decides how requests coalesce. An idle session costs
+//! the dispatcher no wake-ups at all.
+//!
+//! Without an owner, the window holds until `flush`, `drain`, a blocking `wait` or a
+//! full `max_batch` closes it — which is how tests compose windows deterministically.
+//! With one running, [`ResponseHandle::wait_without_dispatch`] becomes safe: a response
+//! consumer (e.g. a network connection's writer thread) can block on delivery without
+//! collapsing the window the way `wait` would.
 //!
 //! # Determinism
 //!
@@ -81,7 +81,7 @@
 use super::batch::{describe_panic, BatchRequest, BatchResponse, BatchTelemetry, ServingError};
 use super::clock::{Clock, MonotonicClock};
 use super::faults::FaultSite;
-use super::sync::{lock_or_panic, wait_or_panic, wait_timeout_or_panic};
+use super::sync::{lock_or_panic, wait_or_panic};
 use super::ExecutionEngine;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -94,28 +94,22 @@ use std::time::Duration;
 /// requests (matches the largest batch the serving bench gates).
 pub const DEFAULT_MAX_BATCH: usize = 32;
 
-/// Default window age limit: the open window dispatches once its oldest request has
-/// waited this long on the session [`Clock`].
-pub const DEFAULT_MAX_WAIT: Duration = Duration::from_millis(1);
-
 /// One request parked in the open window.
 struct Pending {
     request: BatchRequest,
     slot: Arc<ResponseSlot>,
-    /// Session-clock reading at enqueue: the window's age is its oldest entry's.
-    enqueued_at: Duration,
 }
 
 /// The session state behind one serving engine (shared by all of its clones and
 /// handles).
 struct ServingShared {
     engine: Arc<ExecutionEngine>,
-    /// The session's one timeline for deadlines and window age (monotonic in
-    /// production, stepped in tests).
+    /// The session's one timeline for request deadlines (monotonic in production,
+    /// stepped in tests).
     clock: Arc<dyn Clock>,
     state: Mutex<SessionState>,
-    /// Paired with `state`: dispatchers sleep on it until a window opens or its oldest
-    /// request is due ([`ServingEngine::spawn_dispatcher`]).
+    /// Paired with `state`: dispatchers sleep on it while nothing is parked
+    /// ([`ServingEngine::spawn_dispatcher`]).
     window_opened: Condvar,
     /// Serializes window execution: whoever closes a window runs it alone, while
     /// enqueuers keep filling the next window.
@@ -144,9 +138,9 @@ pub struct ServingStats {
     pub coalesced_windows: u64,
     /// Largest window executed so far.
     pub max_window: usize,
-    /// Window-age checks: how often a dispatcher or
-    /// [`dispatch_due`](ServingEngine::dispatch_due) compared an open window's oldest
-    /// request against `max_wait`.
+    /// Dispatcher wake-ups: how often a dispatcher
+    /// ([`spawn_dispatcher`](ServingEngine::spawn_dispatcher)) found requests parked and
+    /// closed the open window — about one per window it closed, none while idle.
     pub ticks: u64,
     /// Requests rejected at enqueue with [`ServingError::QueueFull`] (bounded queue).
     pub rejected_full: u64,
@@ -452,23 +446,21 @@ fn record_window(shared: &ServingShared, size: usize) {
 pub struct ServingEngine {
     shared: Arc<ServingShared>,
     max_batch: usize,
-    max_wait: Duration,
     queue_capacity: Option<usize>,
     overload: OverloadPolicy,
 }
 
 impl ServingEngine {
-    /// A serving session over `engine`, with the default window
-    /// ([`DEFAULT_MAX_WAIT`], [`DEFAULT_MAX_BATCH`]) and a wall-clock
-    /// [`MonotonicClock`] for window age and deadlines. Any number of sessions may share
-    /// one engine — they share its caches and its executor.
+    /// A serving session over `engine`, with the default window size
+    /// ([`DEFAULT_MAX_BATCH`]) and a wall-clock [`MonotonicClock`] for deadlines. Any
+    /// number of sessions may share one engine — they share its caches and its executor.
     pub fn over(engine: Arc<ExecutionEngine>) -> Self {
         ServingEngine::over_with_clock(engine, Arc::new(MonotonicClock::new()))
     }
 
-    /// A serving session over `engine` reading window age and deadlines from `clock` —
-    /// inject a [`MockClock`](super::MockClock) to make both deterministic in tests
-    /// (step it and call [`dispatch_due`](Self::dispatch_due) instead of sleeping).
+    /// A serving session over `engine` reading deadlines from `clock` — inject a
+    /// [`MockClock`](super::MockClock) to expire deadlines deterministically in tests
+    /// (step it instead of sleeping).
     pub fn over_with_clock(engine: Arc<ExecutionEngine>, clock: Arc<dyn Clock>) -> Self {
         ServingEngine {
             shared: Arc::new(ServingShared {
@@ -484,7 +476,6 @@ impl ServingEngine {
                 dispatch: Mutex::new(()),
             }),
             max_batch: DEFAULT_MAX_BATCH,
-            max_wait: DEFAULT_MAX_WAIT,
             queue_capacity: None,
             overload: OverloadPolicy::default(),
         }
@@ -502,17 +493,6 @@ impl ServingEngine {
     #[must_use]
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Sets the window age limit on the session [`Clock`]: the open window is due once
-    /// its oldest request has waited `max_wait` (closed by the session's dispatcher or
-    /// by [`dispatch_due`](Self::dispatch_due)). [`Duration::ZERO`] disables
-    /// batching-by-time entirely — every enqueue dispatches immediately (per-request
-    /// mode); [`Duration::MAX`] never closes a window by age.
-    #[must_use]
-    pub fn with_max_wait(mut self, max_wait: Duration) -> Self {
-        self.max_wait = max_wait;
         self
     }
 
@@ -547,11 +527,6 @@ impl ServingEngine {
         self.max_batch
     }
 
-    /// The configured window age limit.
-    pub fn max_wait(&self) -> Duration {
-        self.max_wait
-    }
-
     /// The configured queue bound, or `None` when the queue is unbounded.
     pub fn queue_capacity(&self) -> Option<usize> {
         self.queue_capacity
@@ -562,7 +537,7 @@ impl ServingEngine {
         self.overload
     }
 
-    /// The session clock's current reading — the timeline window age and
+    /// The session clock's current reading — the timeline
     /// [`BatchRequest::with_deadline`] deadlines are expressed on.
     pub fn now(&self) -> Duration {
         self.shared.clock.now()
@@ -587,9 +562,8 @@ impl ServingEngine {
     }
 
     /// Enqueues one request into the open window and returns its handle. Dispatches the
-    /// window when it reaches [`max_batch`](Self::with_max_batch) (or immediately, when
-    /// [`max_wait`](Self::with_max_wait) is zero); otherwise a request that opens a
-    /// window wakes the session's dispatchers.
+    /// window when it reaches [`max_batch`](Self::with_max_batch); otherwise a request
+    /// that opens a window wakes the session's dispatchers.
     ///
     /// Admission can refuse the request — session closed
     /// ([`ServingError::ShuttingDown`]) or bounded queue full
@@ -611,8 +585,8 @@ impl ServingEngine {
     // lint: hot-path
     fn park(&self, request: BatchRequest) -> (ResponseHandle, bool) {
         let slot = Arc::new(ResponseSlot::new());
-        // Read the clock before the session lock: the clock has its own lock (mock
-        // clocks) and stays un-nested under the session's.
+        // Read the clock (for shedding expired requests) before the session lock: the
+        // clock has its own lock (mock clocks) and stays un-nested under the session's.
         let now = self.shared.clock.now();
         let mut state = lock_or_panic(&self.shared.state, "serving session");
         let id = state.next_id;
@@ -659,13 +633,9 @@ impl ServingEngine {
             }
         }
         state.stats.enqueued += 1;
-        state.pending.push_back(Pending {
-            request,
-            slot,
-            enqueued_at: now,
-        });
+        state.pending.push_back(Pending { request, slot });
         let opened = state.pending.len() == 1;
-        let full = state.pending.len() >= self.max_batch || self.max_wait.is_zero();
+        let full = state.pending.len() >= self.max_batch;
         drop(state);
         if opened && !full {
             self.shared.window_opened.notify_all();
@@ -673,71 +643,26 @@ impl ServingEngine {
         (handle, full)
     }
 
-    /// How long the open window has left at `now` before its oldest request is due:
-    /// `Some(ZERO)` once due, `None` when no window is open or it never ages out
-    /// ([`Duration::MAX`]). Every look at an open window counts one
-    /// [`ServingStats::ticks`] check.
-    // lint: hot-path
-    fn time_to_due(&self, state: &mut SessionState, now: Duration) -> Option<Duration> {
-        let oldest = state.pending.front()?.enqueued_at;
-        state.stats.ticks += 1;
-        if self.max_wait == Duration::MAX {
-            return None;
-        }
-        let due_at = oldest.saturating_add(self.max_wait);
-        Some(due_at.saturating_sub(now))
-    }
-
-    /// Dispatches the open window if its oldest request has waited
-    /// [`max_wait`](Self::with_max_wait) on the session [`Clock`]; returns `true` if a
-    /// window was dispatched. This is the same age check a dispatcher
-    /// ([`spawn_dispatcher`](Self::spawn_dispatcher)) makes when it wakes; tests step a
-    /// [`MockClock`](super::MockClock) and call it directly.
-    // lint: hot-path
-    pub fn dispatch_due(&self) -> bool {
-        let now = self.shared.clock.now();
-        let due = {
-            let mut state = lock_or_panic(&self.shared.state, "serving session");
-            self.time_to_due(&mut state, now) == Some(Duration::ZERO)
-        };
-        due && dispatch_window(&self.shared).is_some()
-    }
-
-    /// The dispatcher thread's loop: sleep on the session condvar until a window opens
-    /// or its oldest request is due, close it, repeat — until `stop` is set (see
-    /// [`stop_dispatcher`](Self::stop_dispatcher)).
+    /// The dispatcher thread's loop: sleep on the session condvar while nothing is
+    /// parked; otherwise count one [`ServingStats::ticks`] wake-up and close the open
+    /// window, so whatever arrives while it executes forms the next one — until `stop`
+    /// is set (see [`stop_dispatcher`](Self::stop_dispatcher)).
     // lint: hot-path
     pub(super) fn dispatch_until(&self, stop: &AtomicBool) {
         let shared = &self.shared;
         loop {
-            // Read the clock before the session lock: the clock has its own lock (mock
-            // clocks) and stays un-nested under the session's.
-            let now = shared.clock.now();
             let mut state = lock_or_panic(&shared.state, "serving session");
+            while state.pending.is_empty() && !stop.load(Ordering::Acquire) {
+                state = wait_or_panic(&shared.window_opened, state, "serving session");
+            }
             if stop.load(Ordering::Acquire) {
                 return;
             }
-            match self.time_to_due(&mut state, now) {
-                // Due: release the session lock first — the window close takes the
-                // dispatch lock, which orders before it.
-                Some(left) if left.is_zero() => {
-                    drop(state);
-                    dispatch_window(shared);
-                }
-                Some(left) => {
-                    drop(wait_timeout_or_panic(
-                        &shared.window_opened,
-                        state,
-                        left,
-                        "serving session",
-                    ));
-                }
-                None => drop(wait_or_panic(
-                    &shared.window_opened,
-                    state,
-                    "serving session",
-                )),
-            }
+            state.stats.ticks += 1;
+            // Release the session lock first: the window close takes the dispatch lock,
+            // which orders before it.
+            drop(state);
+            dispatch_window(shared);
         }
     }
 
@@ -752,8 +677,8 @@ impl ServingEngine {
         self.shared.window_opened.notify_all();
     }
 
-    /// Closes and executes the open window now, whatever its age or size. Returns the
-    /// window's telemetry, or `None` if it was empty.
+    /// Closes and executes the open window now, whatever its size. Returns the window's
+    /// telemetry, or `None` if it was empty.
     pub fn flush(&self) -> Option<BatchTelemetry> {
         dispatch_window(&self.shared)
     }
@@ -806,7 +731,8 @@ impl ServingEngine {
 mod tests {
     use super::*;
     use crate::config::TasdConfig;
-    use crate::engine::MockClock;
+    use crate::engine::LatchedBackend;
+    use tasd_tensor::backend::{DenseBackend, GemmBackend};
     use tasd_tensor::MatrixGenerator;
 
     fn serving(cache_capacity: usize) -> ServingEngine {
@@ -826,65 +752,75 @@ mod tests {
     }
 
     #[test]
-    fn window_holds_until_max_wait_then_coalesces() {
+    fn arrivals_during_an_executing_window_coalesce_into_the_next() {
         let mut gen = MatrixGenerator::seeded(61);
         let a = Arc::new(gen.sparse_normal(32, 32, 0.8));
-        let clock = Arc::new(MockClock::new());
-        // Cache-less engine: decomposition count measures coalescing directly.
-        let engine = ExecutionEngine::builder().cache_capacity(0).build();
-        let s = ServingEngine::over_with_clock(Arc::new(engine), clock.clone())
-            .with_max_wait(Duration::from_millis(2))
-            .with_max_batch(100);
-        let h1 = s.enqueue(request(&mut gen, &a));
-        clock.advance(Duration::from_millis(1));
-        assert!(
-            !s.dispatch_due(),
-            "age 1 ms < max_wait 2 ms: window stays open"
-        );
-        assert!(!h1.is_ready());
-        let h2 = s.enqueue(request(&mut gen, &a)); // late arrival joins the window
-        clock.advance(Duration::from_millis(1));
-        assert!(s.dispatch_due(), "age 2 ms = max_wait: window dispatches");
-        assert!(h1.is_ready() && h2.is_ready());
+        let latch = Arc::new(LatchedBackend::wrap(Arc::new(DenseBackend::default())));
+        // Cache-less engine: decomposition count measures coalescing directly. One
+        // worker runs each kernel whole, so one kernel entry is one window's pass.
+        let engine = ExecutionEngine::builder()
+            .backend(Arc::clone(&latch) as Arc<dyn GemmBackend>)
+            .cache_capacity(0)
+            .workers(1)
+            .build();
+        let s = ServingEngine::over(Arc::new(engine)).with_max_batch(100);
+        let dispatcher = s.spawn_dispatcher();
+        let first = s.enqueue(request(&mut gen, &a));
+        latch.wait_entered(1);
+        // The first window is executing: these three park and form the next one.
+        let late: Vec<ResponseHandle> = (0..3).map(|_| s.enqueue(request(&mut gen, &a))).collect();
+        assert_eq!(s.pending(), 3, "arrivals wait for the executing window");
+        assert!(!first.is_ready());
+        latch.release();
+        assert!(first.wait_without_dispatch().output.is_ok());
+        for handle in late {
+            assert!(handle.wait_without_dispatch().output.is_ok());
+        }
+        dispatcher.stop();
+        let stats = s.stats();
+        assert_eq!(stats.windows, 2);
+        assert_eq!(stats.coalesced_windows, 1);
+        assert_eq!(stats.dispatched, 4);
+        assert_eq!(stats.max_window, 3);
+        assert_eq!(stats.ticks, 2, "one dispatcher wake-up per window");
         assert_eq!(
             s.engine().prep_stats().prepares,
-            1,
-            "both requests must share one decomposition"
+            2,
+            "the three late requests share one decomposition"
         );
-        let stats = s.stats();
-        assert_eq!(stats.windows, 1);
-        assert_eq!(stats.coalesced_windows, 1);
-        assert_eq!(stats.dispatched, 2);
-        assert_eq!(stats.max_window, 2);
-        assert_eq!(stats.ticks, 2, "two age checks of the open window");
-        assert!(h1.try_take().is_ok());
-        assert!(!s.dispatch_due(), "an empty window is never due");
-        assert_eq!(s.stats().ticks, 2, "no window, nothing to check");
     }
 
     #[test]
-    fn max_wait_max_never_closes_a_window_by_age() {
-        let mut gen = MatrixGenerator::seeded(60);
+    fn a_session_without_a_dispatcher_holds_its_window_until_flush_wait_or_full() {
+        let mut gen = MatrixGenerator::seeded(63);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let clock = Arc::new(MockClock::new());
-        let engine = Arc::new(ExecutionEngine::builder().build());
-        let s = ServingEngine::over_with_clock(engine, clock.clone()).with_max_wait(Duration::MAX);
-        clock.advance(Duration::from_secs(1));
-        let h = s.enqueue(request(&mut gen, &a));
-        // No overflow from `enqueued_at + max_wait`, however far the clock runs.
-        clock.advance(Duration::from_secs(1 << 40));
-        assert!(!s.dispatch_due());
-        clock.set(Duration::MAX);
-        assert!(!s.dispatch_due(), "Duration::MAX is never reached by age");
-        assert!(!h.is_ready());
-        assert!(h.wait().output.is_ok(), "wait still closes the window");
+        let s = serving(8).with_max_batch(3);
+        let h1 = s.enqueue(request(&mut gen, &a));
+        let h2 = s.enqueue(request(&mut gen, &a));
+        assert!(!h1.is_ready() && !h2.is_ready(), "nobody closed the window");
+        assert_eq!(s.flush().expect("two parked requests").requests, 2);
+        assert!(h1.is_ready() && h2.is_ready());
+        let h3 = s.enqueue(request(&mut gen, &a));
+        assert!(!h3.is_ready());
+        assert!(
+            h3.wait().output.is_ok(),
+            "a blocking waiter closes the window"
+        );
+        let full: Vec<ResponseHandle> = (0..3).map(|_| s.enqueue(request(&mut gen, &a))).collect();
+        assert!(
+            full.iter().all(ResponseHandle::is_ready),
+            "a full window closes"
+        );
+        let stats = s.stats();
+        assert_eq!(stats.windows, 3);
+        assert_eq!(stats.ticks, 0, "no dispatcher, no wake-ups");
     }
 
     #[test]
     fn full_window_dispatches_on_enqueue() {
         let mut gen = MatrixGenerator::seeded(62);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8).with_max_batch(2).with_max_wait(Duration::MAX);
+        let s = serving(8).with_max_batch(2);
         let h1 = s.enqueue(request(&mut gen, &a));
         assert!(!h1.is_ready());
         assert_eq!(s.pending(), 1);
@@ -897,21 +833,10 @@ mod tests {
     }
 
     #[test]
-    fn max_wait_zero_is_per_request_mode() {
-        let mut gen = MatrixGenerator::seeded(63);
-        let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8).with_max_wait(Duration::ZERO);
-        let h = s.enqueue(request(&mut gen, &a));
-        assert!(h.is_ready(), "max_wait zero dispatches on enqueue");
-        assert_eq!(s.stats().windows, 1);
-        assert_eq!(s.stats().coalesced_windows, 0);
-    }
-
-    #[test]
     fn wait_closes_the_window_instead_of_hanging() {
         let mut gen = MatrixGenerator::seeded(64);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8).with_max_wait(Duration::MAX); // no dispatcher, no other traffic
+        let s = serving(8); // no dispatcher, no other traffic
         let h = s.enqueue(request(&mut gen, &a));
         let response = h.wait();
         assert!(response.output.is_ok());
@@ -948,10 +873,7 @@ mod tests {
     fn bounded_queue_rejects_new_when_full() {
         let mut gen = MatrixGenerator::seeded(68);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8)
-            .with_max_wait(Duration::MAX)
-            .with_max_batch(100)
-            .with_queue_capacity(2);
+        let s = serving(8).with_max_batch(100).with_queue_capacity(2);
         let h1 = s.enqueue(request(&mut gen, &a));
         let h2 = s.enqueue(request(&mut gen, &a));
         let h3 = s.enqueue(request(&mut gen, &a));
@@ -972,7 +894,7 @@ mod tests {
     fn cancel_skips_execution_and_resolves_the_handle() {
         let mut gen = MatrixGenerator::seeded(69);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8).with_max_wait(Duration::MAX).with_max_batch(100);
+        let s = serving(8).with_max_batch(100);
         let h = s.enqueue(request(&mut gen, &a));
         let kept = s.enqueue(request(&mut gen, &a));
         assert!(h.cancel(), "first cancel wins the slot");
@@ -995,7 +917,7 @@ mod tests {
         // (kernel time nobody can observe) and `shutdown` counted it as abandoned.
         let mut gen = MatrixGenerator::seeded(72);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8).with_max_wait(Duration::MAX).with_max_batch(100);
+        let s = serving(8).with_max_batch(100);
         let cancelled = s.enqueue(request(&mut gen, &a));
         let kept = s.enqueue(request(&mut gen, &a));
         assert!(cancelled.cancel());
@@ -1025,7 +947,7 @@ mod tests {
     fn shutdown_abandons_parked_and_closes_admission() {
         let mut gen = MatrixGenerator::seeded(70);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8).with_max_wait(Duration::MAX).with_max_batch(100);
+        let s = serving(8).with_max_batch(100);
         let parked = s.enqueue(request(&mut gen, &a));
         assert_eq!(s.shutdown(), 1);
         assert!(s.is_closed());
@@ -1043,7 +965,7 @@ mod tests {
     fn drain_executes_parked_then_closes() {
         let mut gen = MatrixGenerator::seeded(71);
         let a = Arc::new(gen.sparse_normal(16, 16, 0.5));
-        let s = serving(8).with_max_wait(Duration::MAX).with_max_batch(100);
+        let s = serving(8).with_max_batch(100);
         let parked = s.enqueue(request(&mut gen, &a));
         let telemetry = s.drain().expect("drain executes the parked window");
         assert_eq!(telemetry.requests, 1);

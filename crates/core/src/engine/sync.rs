@@ -12,7 +12,6 @@
 //! exempt so each *call site* is attributed to the concrete lock it names.
 
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Locks `mutex`, panicking with a message naming `what` if the lock is poisoned.
 pub(crate) fn lock_or_panic<'a, T>(mutex: &'a Mutex<T>, what: &str) -> MutexGuard<'a, T> {
@@ -34,24 +33,6 @@ pub(crate) fn wait_or_panic<'a, T>(
 ) -> MutexGuard<'a, T> {
     match cv.wait(guard) {
         Ok(guard) => guard,
-        Err(_) => panic!(
-            "{what} lock was poisoned while a thread waited on its condvar \
-             (see the panic above this one)"
-        ),
-    }
-}
-
-/// Waits on `cv` for at most `timeout`, panicking with a message naming `what` if the
-/// guarded lock was poisoned while waiting. Spurious wakeups pass through (callers
-/// re-check their condition), so the timeout-or-not flag is not surfaced.
-pub(crate) fn wait_timeout_or_panic<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    timeout: Duration,
-    what: &str,
-) -> MutexGuard<'a, T> {
-    match cv.wait_timeout(guard, timeout) {
-        Ok((guard, _timed_out)) => guard,
         Err(_) => panic!(
             "{what} lock was poisoned while a thread waited on its condvar \
              (see the panic above this one)"

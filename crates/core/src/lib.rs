@@ -87,10 +87,11 @@ pub use engine::{
     load_snapshot, save_snapshot, BackendKind, BackendTable, BatchRequest, BatchResponse,
     BatchTelemetry, CacheEntryStats, CacheStats, Clock, DecompositionCache, DeployError,
     DeployReport, DispatcherHandle, EngineBuilder, ExecutionEngine, FaultKind, FaultPlan,
-    FaultRecord, FaultSite, FaultyBackend, Generation, GroupTelemetry, LoadOutcome, MatmulPlan,
-    MockClock, MonotonicClock, OverloadPolicy, PrepStats, PreparedSeries, PreparedShard,
-    PreparedTerm, ResponseHandle, ServingEngine, ServingError, ServingStats, ShardPolicy,
-    ShardTelemetry, ShardedSeries, ShardedTelemetry, SnapshotStats, TermPlan, WeightStore,
+    FaultRecord, FaultSite, FaultyBackend, Generation, GroupTelemetry, LatchedBackend, LoadOutcome,
+    MatmulPlan, MockClock, MonotonicClock, OverloadPolicy, PrepStats, PreparedSeries,
+    PreparedShard, PreparedTerm, ResponseHandle, ServingEngine, ServingError, ServingStats,
+    ShardPolicy, ShardTelemetry, ShardedSeries, ShardedTelemetry, SnapshotStats, TermPlan,
+    WeightStore,
 };
 pub use series::{series_gemm, series_gemm_into, DecompositionReport, TasdSeries};
 

@@ -1,23 +1,22 @@
 //! `tasd-serve` — the network serving daemon.
 //!
 //! ```text
-//! tasd-serve [--addr 127.0.0.1:7474] [--max-batch 32] [--max-wait-us 1000]
-//!            [--queue-cap N] [--shed] [--max-frame-mb 64]
+//! tasd-serve [--addr 127.0.0.1:7474] [--max-batch 32] [--queue-cap N] [--shed]
+//!            [--max-frame-mb 64]
 //! ```
 //!
 //! Runs until a `Shutdown` control frame arrives (the supervisor-friendly stop path;
 //! see the server module docs).
 
 use std::process::ExitCode;
-use std::time::Duration;
 
 use tasd::OverloadPolicy;
 use tasd_serve::{Server, ServerConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tasd-serve [--addr HOST:PORT] [--max-batch N] [--max-wait-us MICROS] \
-         [--queue-cap N] [--shed] [--max-frame-mb MIB]"
+        "usage: tasd-serve [--addr HOST:PORT] [--max-batch N] [--queue-cap N] [--shed] \
+         [--max-frame-mb MIB]"
     );
     ExitCode::FAILURE
 }
@@ -45,10 +44,6 @@ fn main() -> ExitCode {
             },
             "--max-batch" => match parse(&mut args, "--max-batch") {
                 Some(value) => config.max_batch = value,
-                None => return usage(),
-            },
-            "--max-wait-us" => match parse::<u64>(&mut args, "--max-wait-us") {
-                Some(value) => config.max_wait = Duration::from_micros(value),
                 None => return usage(),
             },
             "--queue-cap" => match parse(&mut args, "--queue-cap") {

@@ -5,9 +5,8 @@
 //! * [`wire`] — the length-prefixed binary frame format (requests, responses,
 //!   structured error frames, session control) with a hardened, panic-free decoder;
 //! * [`server`] — the server: one shared serving session, a per-connection
-//!   reader/writer thread pair, and a background [`DispatcherHandle`] that closes each
-//!   window once its oldest request has waited `max_wait` (`--max-wait-us`) on the
-//!   session clock, no matter what clients do;
+//!   reader/writer thread pair, and a background [`DispatcherHandle`] that closes the
+//!   open window whenever no window is executing, no matter what clients do;
 //! * [`client`] — a minimal blocking client for tests and tools;
 //! * [`loadgen`] — a closed-loop load generator that replays mixed-shape traffic and
 //!   reports p50/p95/p99 latency and throughput.

@@ -10,16 +10,16 @@
 //!                           writer thread (per connection)
 //!                               waits each handle passively, encodes the answer
 //!
-//! dispatcher thread (one, DispatcherHandle) — closes each window once its oldest
-//!                                             request has waited max_wait
+//! dispatcher thread (one, DispatcherHandle) — closes the open window whenever
+//!                                             no window is executing
 //! ```
 //!
 //! The writer waits with [`wait_without_dispatch`](tasd::ResponseHandle::wait_without_dispatch):
 //! it must **not** force-close the open window (that would defeat cross-connection
-//! coalescing), and it does not need to — the dispatcher closes every window about
-//! `max_wait` after its first request, on the session clock. It sleeps until a window
-//! opens and then until that window is due, so an idle server has no timer thread
-//! waking up (see `tasd::engine::dispatcher`).
+//! coalescing), and it does not need to — the dispatcher closes the open window as soon
+//! as the one ahead of it finishes, so requests that arrive while a window executes
+//! coalesce into the next one. It sleeps while nothing is parked, so an idle server has
+//! no thread waking up (see `tasd::engine::dispatcher`).
 //!
 //! # Ordering guarantee
 //!
@@ -47,7 +47,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use tasd::engine::{DEFAULT_MAX_BATCH, DEFAULT_MAX_WAIT};
+use tasd::engine::DEFAULT_MAX_BATCH;
 use tasd::{
     load_snapshot, save_snapshot, BatchRequest, DeployError, DispatcherHandle, ExecutionEngine,
     LoadOutcome, OverloadPolicy, ResponseHandle, ServingEngine, SnapshotStats, TasdConfig,
@@ -64,9 +64,6 @@ use crate::wire::{
 pub struct ServerConfig {
     /// Window-closing batch size ([`ServingEngine::with_max_batch`]).
     pub max_batch: usize,
-    /// Window age limit on the session clock ([`ServingEngine::with_max_wait`]): the
-    /// dispatcher closes a window once its oldest request has waited this long.
-    pub max_wait: Duration,
     /// Bounded admission queue, if any ([`ServingEngine::with_queue_capacity`]).
     pub queue_capacity: Option<usize>,
     /// What a full queue does with new arrivals.
@@ -79,7 +76,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_batch: DEFAULT_MAX_BATCH,
-            max_wait: DEFAULT_MAX_WAIT,
             queue_capacity: None,
             overload: OverloadPolicy::RejectNew,
             max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
@@ -190,7 +186,6 @@ impl Server {
         let store = Arc::new(WeightStore::new(Arc::clone(&engine)));
         let mut session = ServingEngine::over(engine)
             .with_max_batch(config.max_batch)
-            .with_max_wait(config.max_wait)
             .with_overload_policy(config.overload);
         if let Some(capacity) = config.queue_capacity {
             session = session.with_queue_capacity(capacity);
@@ -444,19 +439,17 @@ fn reader_loop(shared: &ServerShared, stream: &TcpStream, tx: &mpsc::Sender<Writ
                 // connection's reads (deploys are rare and deploy clients are
                 // dedicated), while serving traffic on every other connection keeps
                 // enqueueing — the store is never locked across preparation.
-                let result = match config {
-                    Some(text) => match TasdConfig::parse(&text) {
-                        Ok(parsed) => shared.store.register(&name, a, parsed),
-                        Err(parse_error) => {
-                            let _ = tx.send(WriterMsg::Frame(Frame::Error {
-                                id: CONNECTION_SCOPE_ID,
-                                code: ErrorCode::BadRequest,
-                                message: format!("unparsable decomposition config: {parse_error}"),
-                            }));
-                            continue;
-                        }
-                    },
-                    None => shared.store.push(&name, a),
+                let result = match config.as_deref().map(TasdConfig::parse).transpose() {
+                    Ok(Some(parsed)) => shared.store.register(&name, a, parsed),
+                    Ok(None) => shared.store.push(&name, a),
+                    Err(parse_error) => {
+                        let _ = tx.send(WriterMsg::Frame(refused_deploy(
+                            &name,
+                            ErrorCode::BadRequest,
+                            &format!("unparsable decomposition config: {parse_error}"),
+                        )));
+                        continue;
+                    }
                 };
                 let answer = match result {
                     Ok(report) => Frame::UpdateAck {
@@ -468,18 +461,15 @@ fn reader_loop(shared: &ServerShared, stream: &TcpStream, tx: &mpsc::Sender<Writ
                         total_shards: report.total_shards as u64,
                         prepares: report.prepares,
                     },
-                    Err(error @ DeployError::UnknownOperand { .. }) => Frame::Error {
-                        id: CONNECTION_SCOPE_ID,
-                        code: ErrorCode::UnknownOperand,
-                        message: error.to_string(),
-                    },
-                    // ShapeMismatch / PreparePanicked (and any future rejection): the
-                    // resident generation keeps serving untouched.
-                    Err(error) => Frame::Error {
-                        id: CONNECTION_SCOPE_ID,
-                        code: ErrorCode::DeployRejected,
-                        message: error.to_string(),
-                    },
+                    Err(error) => {
+                        let code = match error {
+                            DeployError::UnknownOperand { .. } => ErrorCode::UnknownOperand,
+                            // ShapeMismatch / PreparePanicked (and any future rejection):
+                            // the resident generation keeps serving untouched.
+                            _ => ErrorCode::DeployRejected,
+                        };
+                        refused_deploy(&name, code, &error.to_string())
+                    }
                 };
                 let _ = tx.send(WriterMsg::Frame(answer));
             }
@@ -553,6 +543,16 @@ fn reader_loop(shared: &ServerShared, stream: &TcpStream, tx: &mpsc::Sender<Writ
                 return;
             }
         }
+    }
+}
+
+/// The error frame answering a refused `UpdateWeights`. The frame carries no request
+/// id, so the message leads with the operand's name.
+fn refused_deploy(name: &str, code: ErrorCode, detail: &str) -> Frame {
+    Frame::Error {
+        id: CONNECTION_SCOPE_ID,
+        code,
+        message: format!("deploy of {name:?} refused: {detail}"),
     }
 }
 

@@ -20,11 +20,13 @@
 
 use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use tasd::{BatchRequest, ExecutionEngine, TasdConfig};
+use tasd::{BatchRequest, ExecutionEngine, LatchedBackend, TasdConfig};
 use tasd_serve::wire::CONNECTION_SCOPE_ID;
 use tasd_serve::{Client, ControlOp, ErrorCode, Frame, Server, ServerConfig};
+use tasd_tensor::backend::{DenseBackend, GemmBackend};
 use tasd_tensor::{Matrix, MatrixGenerator};
 
 const CONNECTIONS: usize = 4;
@@ -168,53 +170,66 @@ fn mid_stream_drain_yields_shutting_down_frames() {
 /// Overload and deadline admission outcomes arrive as structured error frames.
 #[test]
 fn queue_full_and_deadline_yield_error_frames() {
-    // A tiny queue and a window that effectively never closes on its own: the first
-    // request parks, the second overflows the bounded queue.
+    // A one-request queue and a kernel held on a latch: request 1 executes (and stays
+    // executing), request 2 parks behind it, request 3 overflows the bounded queue.
+    let latch = Arc::new(LatchedBackend::wrap(Arc::new(DenseBackend::default())));
+    let engine = ExecutionEngine::builder()
+        .backend(Arc::clone(&latch) as Arc<dyn GemmBackend>)
+        .workers(1)
+        .build();
     let config = ServerConfig {
-        max_batch: 64,
-        max_wait: Duration::MAX,
         queue_capacity: Some(1),
         ..ServerConfig::default()
     };
-    let mut server = Server::bind("127.0.0.1:0", config).expect("bind");
+    let mut server = Server::bind_over("127.0.0.1:0", config, Arc::new(engine)).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
     let mut gen = MatrixGenerator::seeded(0xF00D);
     let a = gen.sparse_normal(16, 32, 0.7);
     let b = gen.normal(32, 4, 0.0, 1.0);
 
     client.request(1, &a, &b, None, None).expect("send 1");
+    latch.wait_entered(1);
+    // One reader thread decodes this connection's frames in order, so request 2 parks
+    // before request 3 is admitted. Hold the latch until request 3 has met the full
+    // queue.
     client.request(2, &a, &b, None, None).expect("send 2");
-    client.control(ControlOp::Flush).expect("flush");
-
-    // FIFO: request 1 resolves once the flush closes the window; request 2 was
-    // rejected at admission; the ack trails both.
-    match client.recv().expect("recv").expect("open") {
-        Frame::Response { id: 1, .. } => {}
-        other => panic!("request 1 should succeed, got {other:?}"),
+    client.request(3, &a, &b, None, None).expect("send 3");
+    let start = Instant::now();
+    while server.session().stats().rejected_full == 0 {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "request 3 was never refused"
+        );
+        std::thread::sleep(Duration::from_millis(1));
     }
-    match client.recv().expect("recv").expect("open") {
-        Frame::Error {
-            id: 2,
-            code: ErrorCode::QueueFull,
-            ..
-        } => {}
-        other => panic!("request 2 should be QueueFull, got {other:?}"),
-    }
-    assert_eq!(
-        client.recv().expect("recv").expect("open"),
-        Frame::ControlAck(ControlOp::Flush)
-    );
+    latch.release();
 
-    // A zero-microsecond budget expires before its window dispatches.
-    client.request(3, &a, &b, None, Some(0)).expect("send 3");
-    client.control(ControlOp::Flush).expect("flush");
+    // FIFO: requests 1 and 2 resolve as the dispatcher closes their windows; request 3
+    // was rejected at admission.
+    for id in [1, 2] {
+        match client.recv().expect("recv").expect("open") {
+            Frame::Response { id: got, .. } if got == id => {}
+            other => panic!("request {id} should succeed, got {other:?}"),
+        }
+    }
     match client.recv().expect("recv").expect("open") {
         Frame::Error {
             id: 3,
+            code: ErrorCode::QueueFull,
+            ..
+        } => {}
+        other => panic!("request 3 should be QueueFull, got {other:?}"),
+    }
+
+    // A zero-microsecond budget expires before its window dispatches.
+    client.request(4, &a, &b, None, Some(0)).expect("send 4");
+    match client.recv().expect("recv").expect("open") {
+        Frame::Error {
+            id: 4,
             code: ErrorCode::DeadlineExceeded,
             ..
         } => {}
-        other => panic!("request 3 should be DeadlineExceeded, got {other:?}"),
+        other => panic!("request 4 should be DeadlineExceeded, got {other:?}"),
     }
     server.shutdown();
 }
@@ -276,8 +291,8 @@ fn oversized_block_configs_get_bad_request_frames() {
         Frame::Error {
             id: CONNECTION_SCOPE_ID,
             code: ErrorCode::BadRequest,
-            ..
-        } => {}
+            message,
+        } => assert!(message.contains("\"wide\""), "unnamed refusal: {message}"),
         other => panic!("a 1:300 registration should be BadRequest, got {other:?}"),
     }
 
@@ -288,6 +303,51 @@ fn oversized_block_configs_get_bad_request_frames() {
         other => panic!("a 1:64 request should be answered, got {other:?}"),
     }
     assert!(server.store().resolve("wide").is_none());
+    server.shutdown();
+}
+
+/// A refused deploy carries no request id, so its error frame names the operand: a
+/// push of the wrong shape is `DeployRejected`, a push to an unknown name
+/// `UnknownOperand`, and the resident generation keeps serving.
+#[test]
+fn refused_deploys_name_their_operand() {
+    let mut server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut gen = MatrixGenerator::seeded(0xDE9);
+    let weights = gen.sparse_normal(16, 32, 0.7);
+    client
+        .update_weights("layer", &weights, Some(CONFIG))
+        .expect("send");
+    match client.recv().expect("recv").expect("open") {
+        Frame::UpdateAck { name, .. } => assert_eq!(name, "layer"),
+        other => panic!("registration should be acknowledged, got {other:?}"),
+    }
+    let reshaped = gen.sparse_normal(8, 32, 0.7);
+    client
+        .update_weights("layer", &reshaped, None)
+        .expect("send");
+    client
+        .update_weights("ghost", &weights, None)
+        .expect("send");
+    for (code, name) in [
+        (ErrorCode::DeployRejected, "\"layer\""),
+        (ErrorCode::UnknownOperand, "\"ghost\""),
+    ] {
+        match client.recv().expect("recv").expect("open") {
+            Frame::Error {
+                id: CONNECTION_SCOPE_ID,
+                code: got,
+                message,
+            } if got == code => assert!(message.contains(name), "unnamed refusal: {message}"),
+            other => panic!("expected a {code:?} frame naming {name}, got {other:?}"),
+        }
+    }
+    let resident = server.store().resolve("layer").expect("still resident");
+    assert_eq!(
+        resident.matrix().rows(),
+        16,
+        "the refused push changed nothing"
+    );
     server.shutdown();
 }
 

@@ -19,9 +19,10 @@
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use tasd::{
-    BatchRequest, BatchResponse, ExecutionEngine, MockClock, ServingEngine, ServingError,
+    BatchRequest, BatchResponse, ExecutionEngine, LatchedBackend, ServingEngine, ServingError,
     ShardPolicy, TasdConfig,
 };
+use tasd_tensor::backend::{DenseBackend, GemmBackend};
 use tasd_tensor::{Matrix, MatrixGenerator};
 
 /// Threads the stress tests fan out over (the acceptance criterion names ≥ 4).
@@ -124,28 +125,22 @@ fn concurrent_enqueue_matches_sequential_submit_bitwise() {
         .collect();
 
     // Concurrent run: every thread enqueues its stream through one shared session,
-    // interleaving clock steps and age checks (to exercise window-age dispatch) and
-    // handle waits.
+    // interleaving flushes (to close windows mid-stream) and handle waits.
     let engine = Arc::new(workload.engine());
     workload.warm(&engine);
     let prep_before = engine.prep_stats();
-    let clock = Arc::new(MockClock::new());
-    let serving = ServingEngine::over_with_clock(Arc::clone(&engine), clock.clone())
-        .with_max_wait(Duration::from_millis(2))
-        .with_max_batch(8);
+    let serving = ServingEngine::over(Arc::clone(&engine)).with_max_batch(8);
     let got: Vec<Vec<Matrix>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let serving = serving.clone();
                 let workload = &workload;
-                let clock = &clock;
                 scope.spawn(move || {
                     let mut waiting = Vec::new();
                     for (i, request) in workload.requests(t, PER_THREAD).into_iter().enumerate() {
                         waiting.push(serving.enqueue(request));
                         if i % 4 == t % 4 {
-                            clock.advance(Duration::from_millis(1));
-                            serving.dispatch_due();
+                            serving.flush();
                         }
                     }
                     waiting
@@ -259,9 +254,10 @@ fn pinned_worker_counts_are_deterministic_and_result_invariant() {
 }
 
 /// The micro-batch window lifecycle end to end on a cache-less engine, where the
-/// decomposition count directly measures coalescing: a 2 ms window on the session clock
-/// stays open below its age limit, closes at it, and turns two late-arriving
-/// same-operand requests into one decomposition, where individual submits pay one each.
+/// decomposition count directly measures coalescing: while the dispatcher's first window
+/// is held executing on a latched kernel, three late same-operand requests park, and the
+/// dispatcher closes them as one window with one decomposition, where individual
+/// submits pay one each.
 #[test]
 fn window_coalesces_late_arrivals_into_one_decomposition() {
     let mut gen = MatrixGenerator::seeded(0xC0A1);
@@ -273,35 +269,43 @@ fn window_coalesces_late_arrivals_into_one_decomposition() {
 
     // Cache-less engine: every window decomposes its groups afresh, so `prepares`
     // counts exactly what coalescing saves.
-    let engine = Arc::new(ExecutionEngine::builder().cache_capacity(0).build());
-    let clock = Arc::new(MockClock::new());
-    let serving = ServingEngine::over_with_clock(Arc::clone(&engine), clock.clone())
-        .with_max_wait(Duration::from_millis(2))
-        .with_max_batch(32);
-    let h1 = serving.enqueue(request(&mut gen));
-    clock.advance(Duration::from_micros(1999));
-    assert!(
-        !serving.dispatch_due(),
-        "window must stay open below max_wait"
+    let latch = Arc::new(LatchedBackend::wrap(Arc::new(DenseBackend::default())));
+    let engine = Arc::new(
+        ExecutionEngine::builder()
+            .backend(Arc::clone(&latch) as Arc<dyn GemmBackend>)
+            .cache_capacity(0)
+            .workers(1)
+            .build(),
     );
-    let h2 = serving.enqueue(request(&mut gen)); // late arrival
-    let h3 = serving.enqueue(request(&mut gen)); // later arrival
-    clock.advance(Duration::from_micros(1));
-    assert!(
-        serving.dispatch_due(),
-        "the oldest request reaching max_wait closes it"
+    let serving = ServingEngine::over(Arc::clone(&engine)).with_max_batch(32);
+    let dispatcher = serving.spawn_dispatcher();
+    let h0 = serving.enqueue(request(&mut gen));
+    latch.wait_entered(1);
+    let late: Vec<_> = (0..3).map(|_| serving.enqueue(request(&mut gen))).collect();
+    assert_eq!(
+        serving.pending(),
+        3,
+        "late arrivals park behind the executing window"
     );
-    let window_prepares = engine.prep_stats().prepares;
+    latch.release();
+    assert!(h0.wait_without_dispatch().output.is_ok());
+    let outs: Vec<Matrix> = late
+        .into_iter()
+        .map(|h| h.wait_without_dispatch().output.unwrap())
+        .collect();
+    dispatcher.stop();
+    let window_prepares = engine.prep_stats().prepares - 1;
     assert_eq!(
         window_prepares, 1,
         "three coalesced requests, one decomposition"
     );
-    let outs = [h1, h2, h3].map(|h| h.wait().output.unwrap());
+    assert_eq!(serving.stats().windows, 2);
     assert_eq!(serving.stats().coalesced_windows, 1);
 
     // The same three requests submitted individually: one decomposition each.
     let mut gen = MatrixGenerator::seeded(0xC0A1);
     let _ = gen.sparse_normal(48, 48, 0.85); // re-sync the stream past the operand
+    let _ = request(&mut gen); // and past the first request
     let individual_engine = ExecutionEngine::builder().cache_capacity(0).build();
     let mut individual = Vec::new();
     for _ in 0..3 {
@@ -330,10 +334,7 @@ fn window_coalesces_late_arrivals_into_one_decomposition() {
 fn concurrent_shutdown_never_loses_a_handle() {
     const PER_THREAD: usize = 24;
     let workload = Workload::new();
-    let clock = Arc::new(MockClock::new());
-    let serving = ServingEngine::over_with_clock(Arc::new(workload.engine()), clock.clone())
-        .with_max_wait(Duration::from_millis(2))
-        .with_max_batch(4);
+    let serving = ServingEngine::over(Arc::new(workload.engine())).with_max_batch(4);
     let barrier = Barrier::new(THREADS + 1);
     let outcomes: Vec<(u64, u64)> = std::thread::scope(|scope| {
         let enqueuers: Vec<_> = (0..THREADS)
@@ -341,15 +342,13 @@ fn concurrent_shutdown_never_loses_a_handle() {
                 let serving = serving.clone();
                 let workload = &workload;
                 let barrier = &barrier;
-                let clock = &clock;
                 scope.spawn(move || {
                     barrier.wait();
                     let mut pending = Vec::new();
                     for (i, request) in workload.requests(t, PER_THREAD).into_iter().enumerate() {
                         pending.push(serving.enqueue(request));
                         if i % 3 == t % 3 {
-                            clock.advance(Duration::from_millis(1));
-                            serving.dispatch_due();
+                            serving.flush();
                         }
                     }
                     let mut served = 0u64;
@@ -421,26 +420,22 @@ fn handle_edge_cases() {
     assert!(good.try_take().expect("flushed").output.is_ok());
 }
 
-/// Regression — the unowned-window latency bug. A request parked with `max_wait > 0`
-/// and **no follow-up traffic** waits until its caller blocks in `wait()`
-/// (force-closing the window) unless someone owns the window. With a
-/// [`DispatcherHandle`](tasd::DispatcherHandle) attached, the window closes about
-/// `max_wait` after it opened, so a passive waiter resolves with nothing else touching
-/// the session.
+/// Regression — the unowned-window latency bug. A request parked with **no follow-up
+/// traffic** waits until its caller blocks in `wait()` (force-closing the window)
+/// unless someone owns the window. With a [`DispatcherHandle`](tasd::DispatcherHandle)
+/// attached, the window closes as soon as no window is executing, so a passive waiter
+/// resolves with nothing else touching the session.
 #[test]
 fn dispatcher_bounds_parked_request_latency_without_caller_traffic() {
     let mut gen = MatrixGenerator::seeded(0x71CC);
     let a = Arc::new(gen.sparse_normal(32, 32, 0.7));
     let b = gen.normal(32, 4, 0.0, 1.0);
-    let serving = ExecutionEngine::builder()
-        .serving()
-        .with_max_batch(1024) // never closes on size
-        .with_max_wait(Duration::from_millis(2));
+    let serving = ExecutionEngine::builder().serving().with_max_batch(1024); // never closes on size
     let dispatcher = serving.spawn_dispatcher();
 
     let handle = serving.enqueue(BatchRequest::dense(a, b));
-    // Touch nothing: no flush, no age check, no blocking wait that would force-close
-    // the window. Only the background dispatcher can resolve this handle.
+    // Touch nothing: no flush, no blocking wait that would force-close the window. Only
+    // the background dispatcher can resolve this handle.
     let deadline = Instant::now() + Duration::from_secs(10);
     while !handle.is_ready() {
         assert!(
@@ -454,6 +449,9 @@ fn dispatcher_bounds_parked_request_latency_without_caller_traffic() {
     assert!(response.output.is_ok());
     let stats = serving.stats();
     assert_eq!(stats.windows, 1);
-    assert!(stats.ticks >= 1, "resolution came from an age check");
+    assert_eq!(
+        stats.ticks, 1,
+        "resolution came from one dispatcher wake-up"
+    );
     dispatcher.stop();
 }

@@ -98,9 +98,7 @@ fn temp_path(name: &str) -> PathBuf {
 #[test]
 fn swap_under_traffic_is_bitwise_atomic() {
     let engine = sharded_engine();
-    let serving = ServingEngine::over(Arc::clone(&engine))
-        .with_max_wait(Duration::MAX)
-        .with_max_batch(100);
+    let serving = ServingEngine::over(Arc::clone(&engine)).with_max_batch(100);
     let store = WeightStore::new(engine);
 
     let old_weights = weights(0xA0);
@@ -159,9 +157,7 @@ fn enqueue_never_blocks_on_a_slow_deploy() {
         FaultKind::Delay(DEPLOY_DELAY),
     ));
     let engine = faulted_sharded_engine(&plan);
-    let serving = ServingEngine::over(Arc::clone(&engine))
-        .with_max_wait(Duration::MAX)
-        .with_max_batch(100);
+    let serving = ServingEngine::over(Arc::clone(&engine)).with_max_batch(100);
     let store = Arc::new(WeightStore::new(engine));
 
     let old_weights = weights(0xC0);
@@ -216,9 +212,7 @@ fn enqueue_never_blocks_on_a_slow_deploy() {
 fn deploy_panic_keeps_the_old_generation_and_loses_no_handles() {
     let plan = Arc::new(FaultPlan::new().fail_at(FaultSite::Decompose, SHARDS, FaultKind::Panic));
     let engine = faulted_sharded_engine(&plan);
-    let serving = ServingEngine::over(Arc::clone(&engine))
-        .with_max_wait(Duration::MAX)
-        .with_max_batch(100);
+    let serving = ServingEngine::over(Arc::clone(&engine)).with_max_batch(100);
     let store = WeightStore::new(engine);
 
     let old_weights = weights(0xD0);

@@ -76,9 +76,7 @@ fn run_window(
     plan: &Arc<FaultPlan>,
     requests: Vec<BatchRequest>,
 ) -> Vec<Result<Matrix, ServingError>> {
-    let serving = ServingEngine::over(faulty_engine(plan))
-        .with_max_wait(Duration::MAX)
-        .with_max_batch(100);
+    let serving = ServingEngine::over(faulty_engine(plan)).with_max_batch(100);
     let handles: Vec<_> = requests.into_iter().map(|r| serving.enqueue(r)).collect();
     serving.flush();
     handles.into_iter().map(|h| h.wait().output).collect()
@@ -179,7 +177,6 @@ fn deadlines_expire_deterministically_on_a_mock_clock() {
         Arc::new(ExecutionEngine::builder().build()),
         Arc::<MockClock>::clone(&clock),
     )
-    .with_max_wait(Duration::MAX)
     .with_max_batch(100);
 
     let mut requests = distinct_requests(2).into_iter();
@@ -216,7 +213,6 @@ fn shed_expired_first_makes_room_by_resolving_expired_requests() {
         Arc::new(ExecutionEngine::builder().build()),
         Arc::<MockClock>::clone(&clock),
     )
-    .with_max_wait(Duration::MAX)
     .with_max_batch(100)
     .with_queue_capacity(2)
     .with_overload_policy(OverloadPolicy::ShedExpiredFirst);
@@ -253,9 +249,7 @@ fn shed_expired_first_makes_room_by_resolving_expired_requests() {
 #[test]
 fn window_dispatch_panic_wakes_every_waiter_and_the_session_survives() {
     let plan = Arc::new(FaultPlan::new().fail_at(FaultSite::WindowDispatch, 0, FaultKind::Panic));
-    let serving = ServingEngine::over(faulty_engine(&plan))
-        .with_max_wait(Duration::MAX)
-        .with_max_batch(100);
+    let serving = ServingEngine::over(faulty_engine(&plan)).with_max_batch(100);
     let handles: Vec<_> = distinct_requests(3)
         .into_iter()
         .map(|r| serving.enqueue(r))
@@ -310,9 +304,7 @@ fn shutdown_under_load_resolves_every_handle_and_spares_the_engine() {
         FaultKind::Delay(Duration::from_millis(30)),
     ));
     let engine = faulty_engine(&plan);
-    let serving = ServingEngine::over(Arc::clone(&engine))
-        .with_max_wait(Duration::MAX)
-        .with_max_batch(100);
+    let serving = ServingEngine::over(Arc::clone(&engine)).with_max_batch(100);
 
     let in_flight: Vec<_> = distinct_requests(4)
         .into_iter()
@@ -369,9 +361,7 @@ fn concurrent_chaos_loses_no_handles() {
         (THREADS * PER_THREAD) as u64,
         seed,
     ));
-    let clock = Arc::new(MockClock::new());
-    let serving = ServingEngine::over_with_clock(faulty_engine(&plan), clock.clone())
-        .with_max_wait(Duration::from_millis(2))
+    let serving = ServingEngine::over(faulty_engine(&plan))
         .with_max_batch(4)
         .with_queue_capacity(32)
         .with_overload_policy(OverloadPolicy::ShedExpiredFirst);
@@ -382,7 +372,6 @@ fn concurrent_chaos_loses_no_handles() {
             .map(|t| {
                 let serving = serving.clone();
                 let barrier = &barrier;
-                let clock = &clock;
                 scope.spawn(move || {
                     let mut gen = MatrixGenerator::seeded(0xC1A0 + t as u64);
                     let cfg = TasdConfig::parse("2:8").unwrap();
@@ -398,8 +387,7 @@ fn concurrent_chaos_loses_no_handles() {
                         }
                         handles.push(handle);
                         if i % 3 == 0 {
-                            clock.advance(Duration::from_millis(1));
-                            serving.dispatch_due();
+                            serving.flush();
                         }
                     }
                     // [ok, kernel_panicked, cancelled, shutting_down, queue_full]
