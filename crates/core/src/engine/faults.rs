@@ -293,12 +293,12 @@ impl GemmBackend for FaultyBackend {
 }
 
 /// A [`GemmBackend`] decorator that holds kernels on a latch the test releases: each
-/// whole-operand kernel entry (`gemm_into` / `gemm_multi_into`) counts itself as
+/// whole-operand kernel entry (`gemm_into` / `gemm_multi_into`) marks the latch as
 /// started, blocks until [`release`](Self::release), then delegates to the wrapped
 /// backend. Row-block sub-calls (`gemm_rows_into`) delegate without blocking, as in
 /// [`FaultyBackend`].
 ///
-/// With [`wait_entered`](Self::wait_entered), a test knows a window is executing — not
+/// With [`wait_started`](Self::wait_started), a test knows a window is executing — not
 /// merely that it probably started — so what arrives meanwhile, and which window it
 /// joins, is deterministic. Release the latch before dropping anything that joins the
 /// blocked thread.
@@ -311,8 +311,8 @@ pub struct LatchedBackend {
 
 #[derive(Debug, Default)]
 struct LatchState {
-    /// Kernel entries started so far, held or passed.
-    entered: u64,
+    /// Whether a kernel entry has started, held or passed.
+    started: bool,
     /// Whether [`LatchedBackend::release`] has opened the latch.
     released: bool,
 }
@@ -327,10 +327,10 @@ impl LatchedBackend {
         }
     }
 
-    /// Blocks until at least `count` kernel entries have started.
-    pub fn wait_entered(&self, count: u64) {
+    /// Blocks until a kernel entry has started.
+    pub fn wait_started(&self) {
         let mut latch = lock_or_panic(&self.latch, "backend latch");
-        while latch.entered < count {
+        while !latch.started {
             latch = wait_or_panic(&self.changed, latch, "backend latch");
         }
     }
@@ -342,10 +342,10 @@ impl LatchedBackend {
         self.changed.notify_all();
     }
 
-    /// Counts one kernel entry, then blocks while the latch is closed.
+    /// Marks a kernel entry as started, then blocks while the latch is closed.
     fn enter(&self) {
         let mut latch = lock_or_panic(&self.latch, "backend latch");
-        latch.entered += 1;
+        latch.started = true;
         self.changed.notify_all();
         while !latch.released {
             latch = wait_or_panic(&self.changed, latch, "backend latch");

@@ -766,12 +766,15 @@ mod tests {
         let s = ServingEngine::over(Arc::new(engine)).with_max_batch(100);
         let dispatcher = s.spawn_dispatcher();
         let first = s.enqueue(request(&mut gen, &a));
-        latch.wait_entered(1);
-        // The first window is executing: these three park and form the next one.
+        latch.wait_started();
+        // The first window is executing: these three park and form the next one. Read
+        // before releasing, assert after: a failed assertion must not leave the
+        // dispatcher held on the latch while the session's drop waits for it.
         let late: Vec<ResponseHandle> = (0..3).map(|_| s.enqueue(request(&mut gen, &a))).collect();
-        assert_eq!(s.pending(), 3, "arrivals wait for the executing window");
-        assert!(!first.is_ready());
+        let (parked, first_ready) = (s.pending(), first.is_ready());
         latch.release();
+        assert_eq!(parked, 3, "arrivals wait for the executing window");
+        assert!(!first_ready);
         assert!(first.wait_without_dispatch().output.is_ok());
         for handle in late {
             assert!(handle.wait_without_dispatch().output.is_ok());

@@ -188,24 +188,25 @@ fn queue_full_and_deadline_yield_error_frames() {
     let b = gen.normal(32, 4, 0.0, 1.0);
 
     client.request(1, &a, &b, None, None).expect("send 1");
-    latch.wait_entered(1);
+    latch.wait_started();
     // One reader thread decodes this connection's frames in order, so request 2 parks
-    // before request 3 is admitted. Hold the latch until request 3 has met the full
-    // queue.
+    // before request 3 is admitted, and the flush then blocks that reader on the
+    // executing window. Hold the latch until request 3 has met the full queue, and
+    // release it before asserting: a failure with the latch closed would hang the
+    // server's shutdown on the held window.
     client.request(2, &a, &b, None, None).expect("send 2");
     client.request(3, &a, &b, None, None).expect("send 3");
+    client.control(ControlOp::Flush).expect("flush");
     let start = Instant::now();
-    while server.session().stats().rejected_full == 0 {
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "request 3 was never refused"
-        );
+    while server.session().stats().rejected_full == 0 && start.elapsed() < Duration::from_secs(10) {
         std::thread::sleep(Duration::from_millis(1));
     }
+    let refused = server.session().stats().rejected_full;
     latch.release();
+    assert_eq!(refused, 1, "request 3 was never refused");
 
-    // FIFO: requests 1 and 2 resolve as the dispatcher closes their windows; request 3
-    // was rejected at admission.
+    // FIFO: requests 1 and 2 resolve as their windows close; request 3 was rejected at
+    // admission; the flush's ack trails all three.
     for id in [1, 2] {
         match client.recv().expect("recv").expect("open") {
             Frame::Response { id: got, .. } if got == id => {}
@@ -220,6 +221,10 @@ fn queue_full_and_deadline_yield_error_frames() {
         } => {}
         other => panic!("request 3 should be QueueFull, got {other:?}"),
     }
+    assert_eq!(
+        client.recv().expect("recv").expect("open"),
+        Frame::ControlAck(ControlOp::Flush)
+    );
 
     // A zero-microsecond budget expires before its window dispatches.
     client.request(4, &a, &b, None, Some(0)).expect("send 4");

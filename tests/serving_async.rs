@@ -280,14 +280,13 @@ fn window_coalesces_late_arrivals_into_one_decomposition() {
     let serving = ServingEngine::over(Arc::clone(&engine)).with_max_batch(32);
     let dispatcher = serving.spawn_dispatcher();
     let h0 = serving.enqueue(request(&mut gen));
-    latch.wait_entered(1);
+    latch.wait_started();
     let late: Vec<_> = (0..3).map(|_| serving.enqueue(request(&mut gen))).collect();
-    assert_eq!(
-        serving.pending(),
-        3,
-        "late arrivals park behind the executing window"
-    );
+    // Release before asserting, so a failure cannot leave the dispatcher held on the
+    // latch while its handle's drop joins it.
+    let parked = serving.pending();
     latch.release();
+    assert_eq!(parked, 3, "late arrivals park behind the executing window");
     assert!(h0.wait_without_dispatch().output.is_ok());
     let outs: Vec<Matrix> = late
         .into_iter()
