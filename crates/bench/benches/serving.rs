@@ -21,27 +21,23 @@
 //!    wall-clock (skipped under `cargo bench -- --test` quick mode, where one-shot
 //!    timings are meaningless — gates 1–3 still run, so CI smoke keeps the bench and
 //!    the contracts honest without failing on runner speed);
-//! 5. the **sharded** submit path ([`sharded_gate`]): bitwise identity to the unsharded
-//!    engine on a 512-row operand, and the per-shard warm-cache contract (zero
-//!    conversions / replans / rescans, one cache hit per shard). Sharded-vs-unsharded
-//!    ns/iter is recorded into `BENCH_serving.json` (`submit_sharded/*`), not gated —
-//!    shard parallelism is a multi-core win and CI runs on one core;
-//! 6. the **async serving** micro-batch window ([`serving_window_gate`]): one window of
+//! 5. the **async serving** micro-batch window ([`serving_window_gate`]): one window of
 //!    three same-operand requests, closed by one `flush`, performs one decomposition (≥ 1
 //!    fewer than the same requests submitted individually), bitwise identical to
 //!    per-request execution. Warm window-vs-per-request ns/iter is recorded as
 //!    `serving_async/*`;
-//! 7. the **overload** path ([`measure_overload`]): a capacity-bounded session with
+//! 6. the **overload** path ([`measure_overload`]): a capacity-bounded session with
 //!    `ShedExpiredFirst` absorbing a flood of already-expired requests resolves every
 //!    flooded handle `DeadlineExceeded`, answers the in-budget batch bitwise
 //!    identically to the no-overload path, and (timing gate, skipped in `-- --test`
 //!    quick mode) costs the in-budget requests ≤ 10% over the same session's
 //!    no-overload warm window path. Both sides are recorded as `serving_overload/*`;
-//! 8. the **deploy** path ([`measure_serving_deploy`]): steady-state generation swaps
-//!    (`serving_deploy/swap` — pushes whose dirty shard is already cached), warm vs
-//!    cold restart (`serving_deploy/restart_{warm,cold}` — the warm side loads a
-//!    prepared-cache snapshot and must re-register with **zero** decompositions,
-//!    asserted every rep), and resolve+enqueue p99 while a pusher thread deploys
+//! 7. the **deploy** path ([`measure_serving_deploy`]) on the engine `tasd-serve`
+//!    builds: steady-state generation swaps (`serving_deploy/swap` — pushes that
+//!    decompose exactly their dirty bands), warm vs cold restart
+//!    (`serving_deploy/restart_{warm,cold}` — the warm side loads a store snapshot and
+//!    must re-register with **zero** decompositions, asserted every rep), and
+//!    resolve+enqueue p99 while a pusher thread deploys
 //!    continuously vs steady state (`serving_deploy/enqueue_p99/*`), gated ≤ 1.10×
 //!    (timing gate skipped in `-- --test` quick mode) — a deploy may not meaningfully
 //!    stall the enqueue path.
@@ -53,7 +49,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tasd::{
     load_snapshot, save_snapshot, BatchRequest, Clock, ExecutionEngine, MockClock, OverloadPolicy,
-    ServingEngine, ServingError, ShardPolicy, TasdConfig, WeightStore,
+    ServingEngine, ServingError, TasdConfig, WeightStore,
 };
 use tasd_bench::bench_json::{quick_mode, BenchRecorder};
 use tasd_tensor::backend::{pack_panels, unpack_panels};
@@ -115,7 +111,6 @@ fn bench_serving(_c: &mut Criterion) {
             });
         }
     }
-    measure_sharded(&mut rec);
     measure_serving_async(&mut rec);
     measure_overload(&mut rec);
     measure_serving_net(&mut rec);
@@ -269,121 +264,6 @@ fn acceptance_gate(_c: &mut Criterion) {
         "warm prepared submit ({prepared:?}) must be >= 1.5x faster than the PR 2 \
          baseline ({baseline:?}); measured {speedup:.2}x"
     );
-}
-
-/// Sharded serving: the row-sharded `submit` path against the unsharded path on the
-/// same oversized operand.
-///
-/// Correctness gates (always run, including `-- --test` smoke mode):
-///
-/// 1. sharded responses are **bitwise identical** to the unsharded engine's;
-/// 2. a warm sharded batch performs zero conversions, zero replans, zero rescans, and
-///    exactly one decomposition-cache hit per shard.
-///
-/// Timing is recorded to `BENCH_serving.json` by [`measure_sharded`] (`submit_sharded/*`
-/// vs `submit_unsharded/*`) and printed as a ratio rather than gated: shard-level
-/// parallelism only pays on multi-core hosts, and the 1-CPU CI container would make a
-/// wall-clock gate a coin flip. The cross-PR trajectory file is the record.
-/// The sharded workload + engine pair shared by [`sharded_gate`] and
-/// [`measure_sharded`], so the gate always validates exactly the configuration the
-/// trajectory records: a 512×256 90%-sparse operand, 8 requests, 4 nnz-balanced shards.
-const SHARDED_ROWS: usize = 512;
-const SHARDED_COLS: usize = 256;
-const SHARDED_BATCH: usize = 8;
-const SHARDS: usize = 4;
-
-#[allow(clippy::type_complexity)]
-fn sharded_workload() -> (
-    Arc<Matrix>,
-    Vec<Matrix>,
-    TasdConfig,
-    ExecutionEngine,
-    ExecutionEngine,
-) {
-    let mut gen = MatrixGenerator::seeded(0x5AAD);
-    let a = Arc::new(gen.sparse_normal(SHARDED_ROWS, SHARDED_COLS, 0.9));
-    let panels = (0..SHARDED_BATCH)
-        .map(|_| gen.normal(SHARDED_COLS, PANEL_COLS, 0.0, 1.0))
-        .collect();
-    let cfg = TasdConfig::parse("2:8+1:8").unwrap();
-    let sharded_engine = ExecutionEngine::builder()
-        .shard_policy(ShardPolicy::NnzBalanced(SHARDS))
-        .shard_min_rows(SHARDED_ROWS / 2)
-        .build();
-    let plain_engine = ExecutionEngine::builder().build();
-    (a, panels, cfg, sharded_engine, plain_engine)
-}
-
-fn sharded_gate(_c: &mut Criterion) {
-    let (a, panels, cfg, sharded_engine, plain_engine) = sharded_workload();
-
-    // -- Gate 1: bitwise identity, cold and warm. --------------------------------------
-    for round in 0..2 {
-        let sharded = sharded_engine.submit(requests(&a, &panels, &cfg));
-        let plain = plain_engine.submit(requests(&a, &panels, &cfg));
-        for (s, p) in sharded.iter().zip(&plain) {
-            assert_eq!(
-                s.output.as_ref().unwrap(),
-                p.output.as_ref().unwrap(),
-                "sharded submit must be bitwise identical to unsharded (round {round})"
-            );
-        }
-    }
-
-    // -- Gate 2: warm sharded batches keep the prepare-once contract per shard. --------
-    let before = sharded_engine.prep_stats();
-    let hits_before = sharded_engine.cache_stats().hits;
-    let (responses, telemetry) = sharded_engine.submit_with_telemetry(requests(&a, &panels, &cfg));
-    assert!(responses.iter().all(|r| r.output.is_ok()));
-    let after = sharded_engine.prep_stats();
-    assert_eq!(telemetry.decompositions, 0, "warm sharded batch decomposed");
-    assert_eq!(
-        after.conversions, before.conversions,
-        "warm batch converted"
-    );
-    assert_eq!(
-        after.plans_computed, before.plans_computed,
-        "warm replanned"
-    );
-    assert_eq!(
-        after.fingerprint_scans, before.fingerprint_scans,
-        "warm batch rescanned the operand"
-    );
-    assert_eq!(
-        sharded_engine.cache_stats().hits,
-        hits_before + SHARDS as u64,
-        "a warm sharded batch takes one cache hit per shard"
-    );
-
-    println!("sharded gate: bitwise identity + per-shard warm-cache contract verified");
-}
-
-/// Sharded-vs-unsharded timing on the oversized operand, recorded into the shared
-/// `BENCH_serving.json` trajectory by [`bench_serving`]'s recorder.
-fn measure_sharded(rec: &mut BenchRecorder) {
-    let (a, panels, cfg, sharded_engine, plain_engine) = sharded_workload();
-    // Warm both caches: the trajectory tracks steady-state serving.
-    let _ = sharded_engine.submit(requests(&a, &panels, &cfg));
-    let _ = plain_engine.submit(requests(&a, &panels, &cfg));
-    let label = format!(
-        "s90 {SHARDED_ROWS}x{SHARDED_COLS} batch={SHARDED_BATCH} panels={PANEL_COLS} \
-         shards={SHARDS} cfg=2:8+1:8"
-    );
-    let sharded_t = rec.measure(&format!("submit_sharded/{SHARDED_BATCH}"), &label, || {
-        sharded_engine.submit(std::hint::black_box(requests(&a, &panels, &cfg)))
-    });
-    let unsharded_t = rec.measure(&format!("submit_unsharded/{SHARDED_BATCH}"), &label, || {
-        plain_engine.submit(std::hint::black_box(requests(&a, &panels, &cfg)))
-    });
-    if !quick_mode() {
-        println!(
-            "sharded serving: warm sharded {sharded_t:?} vs unsharded {unsharded_t:?} \
-             ({:.2}x) on {SHARDED_BATCH} requests over a {SHARDED_ROWS}x{SHARDED_COLS} \
-             operand, {} worker(s)",
-            unsharded_t.as_secs_f64() / sharded_t.as_secs_f64(),
-            tasd_bench::testing::available_parallelism(),
-        );
-    }
 }
 
 /// The async-serving micro-batch window gate (always run, including `-- --test` smoke):
@@ -777,9 +657,10 @@ fn measure_serving_net(rec: &mut BenchRecorder) {
 ///
 /// Correctness gates (always run, including `-- --test` smoke mode):
 ///
-/// 1. a steady-state push re-prepares only its dirty shard, and once both deploy
-///    variants' shards are cached a swap performs **zero** decompositions — the
-///    timed swap is pure hash + diff + cache hit + install;
+/// 1. every push decomposes exactly its dirty bands — a swap between the two variants
+///    decomposes the two bands their changed rows lie in, and shares the other two
+///    with the generation it replaces (a superseded band is freed, so a swap back
+///    decomposes again);
 /// 2. a warm restart (snapshot load) re-registers the serving operand with **zero**
 ///    decompositions — asserted on every timed rep, so the `restart_warm` record can
 ///    never silently degrade into a re-decomposition;
@@ -790,45 +671,37 @@ fn measure_serving_net(rec: &mut BenchRecorder) {
 /// deploying continuously stays within 1.10× of the same path's steady-state p99 —
 /// deploys must never meaningfully stall admission.
 fn measure_serving_deploy(rec: &mut BenchRecorder) {
-    const DEPLOY_SHARD_ROWS: usize = 64; // M=256 rows -> 4 shards
     const ENQUEUE_SAMPLES: usize = 4000;
 
-    let deploy_engine = || {
-        Arc::new(
-            ExecutionEngine::builder()
-                .shard_policy(ShardPolicy::FixedRows(DEPLOY_SHARD_ROWS))
-                .shard_min_rows(2)
-                .build(),
-        )
-    };
+    let deploy_engine = || Arc::new(ExecutionEngine::builder().build());
     let mut gen = MatrixGenerator::seeded(0xDE9107);
     let base = gen.sparse_normal(M, K, 0.9);
-    // The two deploy variants differ from `base` in one row each (distinct shards),
-    // so every swap between them has 1 dirty shard — and after each variant's first
-    // push that shard is already cached: the steady-state swap decomposes nothing.
+    // The two deploy variants differ from `base` in one row each, in distinct bands of
+    // M = 256 rows (four 64-row bands): a push from `base` dirties one band, and every
+    // swap between the variants dirties two.
     let variant = |marker: f32, row: usize| {
         let mut m = base.clone();
         m[(row, 0)] = marker;
         m
     };
     let panel = gen.normal(K, PANEL_COLS, 0.0, 1.0);
-    let label = format!("s90 {M}x{K} shards=4 dirty_shards=1 panels={PANEL_COLS} cfg=2:8+1:8");
+    let label = format!("s90 {M}x{K} bands=4 dirty_bands=2 panels={PANEL_COLS} cfg=2:8+1:8");
 
     let engine = deploy_engine();
     let serving = ServingEngine::over(Arc::clone(&engine)).with_max_batch(64);
     let store = Arc::new(WeightStore::new(Arc::clone(&engine)));
     let cfg = TasdConfig::parse("2:8+1:8").unwrap();
     store.register("w", base.clone(), cfg.clone()).unwrap();
-    // Warm both variants' dirty shards (gate 1: the second push of a variant is
-    // hash + diff + cache hit only).
+    // Gate 1: a push decomposes exactly its dirty bands.
     let first = store.push("w", variant(1.0, 3)).unwrap();
-    assert_eq!(first.dirty_shards, 1, "one changed row, one dirty shard");
+    assert_eq!(first.dirty_shards, 1, "one changed row, one dirty band");
     assert_eq!(first.prepares, 1);
     store.push("w", variant(2.0, 200)).unwrap();
-    let warm_swap = store.push("w", variant(1.0, 3)).unwrap();
+    let swap = store.push("w", variant(1.0, 3)).unwrap();
+    assert_eq!(swap.dirty_shards, 2, "rows 3 and 200 lie in two bands");
     assert_eq!(
-        warm_swap.prepares, 0,
-        "a swap between cached variants must decompose nothing"
+        swap.prepares, 2,
+        "a swap decomposes its dirty bands and nothing else"
     );
 
     // -- serving_deploy/swap: steady-state generation swaps under parked load. ---------
@@ -845,8 +718,8 @@ fn measure_serving_deploy(rec: &mut BenchRecorder) {
         };
         let report = store.push("w", variant(marker, row)).unwrap();
         assert_eq!(
-            report.prepares, 0,
-            "steady-state swaps must stay cache-pure"
+            report.prepares, report.dirty_shards as u64,
+            "steady-state swaps decompose exactly their dirty bands"
         );
         report
     });
@@ -917,19 +790,18 @@ fn measure_serving_deploy(rec: &mut BenchRecorder) {
     // -- serving_deploy/restart_{cold,warm}: boot-to-registered wall clock. ------------
     let snapshot_path =
         std::env::temp_dir().join(format!("tasd-bench-deploy-{}.snapshot", std::process::id()));
-    save_snapshot(&engine, &snapshot_path).expect("snapshot write");
-    let restart_label = format!("s90 {M}x{K} shards=4 cfg=2:8+1:8 register-after-boot");
+    store.register("w", base.clone(), cfg.clone()).unwrap();
+    save_snapshot(&store, &snapshot_path).expect("snapshot write");
+    let restart_label = format!("s90 {M}x{K} bands=4 cfg=2:8+1:8 register-after-boot");
     let cold_t = rec.measure("serving_deploy/restart_cold", &restart_label, || {
-        let engine = deploy_engine();
-        let store = WeightStore::new(Arc::clone(&engine));
+        let store = WeightStore::new(deploy_engine());
         let report = store.register("w", base.clone(), cfg.clone()).unwrap();
-        assert_eq!(report.prepares, 4, "a cold boot decomposes every shard");
+        assert_eq!(report.prepares, 4, "a cold boot decomposes every band");
         report
     });
     let warm_t = rec.measure("serving_deploy/restart_warm", &restart_label, || {
-        let engine = deploy_engine();
-        assert!(load_snapshot(&engine, &snapshot_path).is_warm());
-        let store = WeightStore::new(Arc::clone(&engine));
+        let store = WeightStore::new(deploy_engine());
+        assert!(load_snapshot(&store, &snapshot_path).is_warm());
         let report = store.register("w", base.clone(), cfg.clone()).unwrap();
         assert_eq!(report.prepares, 0, "a warm restart decomposes nothing");
         report
@@ -953,11 +825,5 @@ fn measure_serving_deploy(rec: &mut BenchRecorder) {
     );
 }
 
-criterion_group!(
-    benches,
-    acceptance_gate,
-    sharded_gate,
-    serving_window_gate,
-    bench_serving
-);
+criterion_group!(benches, acceptance_gate, serving_window_gate, bench_serving);
 criterion_main!(benches);

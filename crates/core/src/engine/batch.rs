@@ -9,15 +9,18 @@
 //! back-compat surface for callers that assemble their own batches (see the
 //! [`serving` module](super::serving) for the lifecycle and the migration note).
 //!
-//! 1. **Grouping** — requests are grouped by *decomposed-operand fingerprint*: the key is
-//!    `(operand fingerprint, operand shape, decomposition config)` — exactly the
-//!    decomposition cache's key, with "no decomposition" as its own config value.
-//!    Fingerprints come from the engine's per-allocation memo, so a warm stream never
-//!    rescans its operands. Every group *prepares* its operand at most once per batch
-//!    (and usually zero times, when the prepared cache entry is already resident — a
-//!    warm batch performs zero decompositions, zero format conversions, and zero
-//!    replans), and its right-hand panels are packed column-wise so one pass over the
-//!    operand serves every member ([`pack_panels`](tasd_tensor::backend::pack_panels)).
+//! 1. **Grouping** — requests built by [`Generation::request`](super::Generation::request)
+//!    carry their generation's prepared bands and group by generation: no fingerprint,
+//!    no cache lookup, no decomposition. Every other request is *inline* and groups by
+//!    *decomposed-operand fingerprint*: the key is `(operand fingerprint, operand shape,
+//!    decomposition config)` — exactly the decomposition cache's key, with "no
+//!    decomposition" as its own config value. Fingerprints come from the engine's
+//!    per-allocation memo, so a warm stream never rescans its operands. Every inline
+//!    group *prepares* its operand at most once per batch (and usually zero times, when
+//!    the prepared cache entry is already resident — a warm batch performs zero
+//!    decompositions, zero format conversions, and zero replans). Every group's
+//!    right-hand panels are packed column-wise so one pass over the operand serves every
+//!    member ([`pack_panels`](tasd_tensor::backend::pack_panels)).
 //! 2. **Scheduling** — groups are admitted shortest-plan-first by their summed
 //!    [`MatmulPlan`](super::MatmulPlan) cost estimates, with a fairness cap bounding how
 //!    many slots any group can be overtaken by (see [`admission_order`]).
@@ -30,8 +33,8 @@
 //! [`gemm`](ExecutionEngine::gemm) call, so `submit` results are bitwise identical to the
 //! per-request path, under every admission ordering.
 
+use super::deploy::Banded;
 use super::prepared::PreparedSeries;
-use super::shard::ShardedSeries;
 use super::{ExecutionEngine, MatmulPlan};
 use crate::config::TasdConfig;
 use serde::{Deserialize, Serialize};
@@ -165,6 +168,11 @@ pub struct BatchRequest {
     /// never expires. Engine-level [`submit`](ExecutionEngine::submit) ignores
     /// deadlines — it has no clock; only the serving session enforces them.
     pub deadline: Option<Duration>,
+    /// The prepared bands of the generation
+    /// [`Generation::request`](super::Generation::request) built this request from. They
+    /// execute only while `a` and `config` still name that generation's weights and
+    /// configuration; replace either and the request runs as an inline operand.
+    bands: Option<Arc<Banded>>,
 }
 
 impl BatchRequest {
@@ -176,6 +184,18 @@ impl BatchRequest {
             b,
             config: Some(config),
             deadline: None,
+            bands: None,
+        }
+    }
+
+    /// A request against a named operand's generation, carrying its prepared bands.
+    pub(crate) fn banded(operand: Arc<Banded>, b: Matrix) -> Self {
+        BatchRequest {
+            a: Arc::clone(&operand.matrix),
+            b,
+            config: Some(operand.config.clone()),
+            deadline: None,
+            bands: Some(operand),
         }
     }
 
@@ -186,6 +206,7 @@ impl BatchRequest {
             b,
             config: None,
             deadline: None,
+            bands: None,
         }
     }
 
@@ -211,7 +232,8 @@ pub struct BatchResponse {
     /// Estimated effectual MACs of this request's plan (0 if it failed at admission).
     pub plan_cost: u64,
     /// Whether this request's decomposition was served from the cache. `false` for dense
-    /// requests and for the request batch that actually performed the decomposition.
+    /// requests, for requests carrying a generation's bands (those never touch the
+    /// cache), and for the request batch that actually performed the decomposition.
     pub cache_hit: bool,
 }
 
@@ -232,7 +254,8 @@ impl BatchResponse {
 /// Per-group serving telemetry (one entry per operand group, indexed by group id).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GroupTelemetry {
-    /// Content fingerprint of the group's shared operand.
+    /// Content fingerprint of the group's shared operand (for a banded group, its
+    /// generation's store fingerprint).
     pub fingerprint: u64,
     /// Request indices served by this group, in arrival order.
     pub members: Vec<usize>,
@@ -243,14 +266,10 @@ pub struct GroupTelemetry {
     /// Slots this group waited past its arrival rank (bounded by the fairness cap).
     pub queue_delay: usize,
     /// Whether this batch performed the group's decomposition (a cache miss). Always
-    /// `false` for dense groups. For a row-sharded group this means *at least one* shard
-    /// decomposed — a partially warm group (one shard evicted, the rest resident) reports
-    /// `decomposed: true` here while the batch-level `cache_hits`/`cache_misses` deltas
-    /// carry the exact per-shard split.
+    /// `false` for dense groups and banded groups (their bands were prepared at deploy).
     pub decomposed: bool,
-    /// Whether the group's decomposition came out of the cache. For a row-sharded group:
-    /// whether **every** shard did (the conservative reading — a `true` guarantees the
-    /// batch paid zero decomposition work for this group).
+    /// Whether the group's decomposition came out of the cache. Always `false` for
+    /// dense groups and banded groups, which never look the cache up.
     pub cache_hit: bool,
 }
 
@@ -336,25 +355,26 @@ pub fn admission_order(costs: &[u64], fairness_cap: usize) -> Vec<usize> {
     order
 }
 
-/// Grouping key: operand content fingerprint, operand shape, decomposition config
-/// (`None` = exact GEMM) — the decomposition cache's key with "no decomposition" as its
-/// own value.
-type GroupKey = (u64, (usize, usize), Option<TasdConfig>);
+/// Grouping key.
+#[derive(PartialEq, Eq, Hash)]
+enum GroupKey {
+    /// A generation's bands, by allocation.
+    Banded(usize),
+    /// An inline operand: content fingerprint, shape, decomposition config (`None` =
+    /// exact GEMM) — the decomposition cache's key with "no decomposition" as its own
+    /// value.
+    Inline(u64, (usize, usize), Option<TasdConfig>),
+}
 
-/// How a group executes: a prepared decomposition (whole or row-sharded), or an exact
+/// How a group executes: a generation's bands, a prepared decomposition, or an exact
 /// GEMM with a memoized plan.
 enum GroupExec {
+    /// Named group: the generation's prepared bands, run by band.
+    Banded(Arc<Banded>),
     /// Decomposed group: the prepared series (obtained through the cache at costing
     /// time) and whether that lookup was a cache hit.
     Prepared {
         series: Arc<PreparedSeries>,
-        cache_hit: bool,
-    },
-    /// Oversized decomposed group routed through the engine's shard policy: one prepared
-    /// series per row shard, executed on the shard worker pool. `cache_hit` means every
-    /// shard came out of the cache.
-    Sharded {
-        series: ShardedSeries,
         cache_hit: bool,
     },
     /// Exact GEMM group: the memoized plan for the packed output width.
@@ -370,6 +390,7 @@ enum GroupExec {
 struct Group {
     members: Vec<usize>,
     fingerprint: u64,
+    banded: Option<Arc<Banded>>,
 }
 
 /// One group's kernel pass result: the packed wide output plus (cache_hit, decomposed),
@@ -436,14 +457,26 @@ impl ExecutionEngine {
                 });
                 continue;
             }
-            // The engine-level memo fingerprints each distinct allocation once *ever*
-            // (not once per batch): a warm serving stream performs zero content scans.
-            let fingerprint = self.fingerprint_of(&req.a);
-            let key = (fingerprint, req.a.shape(), req.config.clone());
+            let banded = req.bands.as_ref().filter(|bands| bands.serves(req));
+            let (key, fingerprint) = match banded {
+                Some(bands) => (
+                    GroupKey::Banded(Arc::as_ptr(bands) as usize),
+                    bands.fingerprint,
+                ),
+                None => {
+                    // The engine-level memo fingerprints each distinct allocation once
+                    // *ever* (not once per batch): a warm serving stream performs zero
+                    // content scans.
+                    let fingerprint = self.fingerprint_of(&req.a);
+                    let key = GroupKey::Inline(fingerprint, req.a.shape(), req.config.clone());
+                    (key, fingerprint)
+                }
+            };
             let gid = *group_ids.entry(key).or_insert_with(|| {
                 groups.push(Group {
                     members: Vec::new(),
                     fingerprint,
+                    banded: banded.cloned(),
                 });
                 groups.len() - 1
             });
@@ -451,11 +484,11 @@ impl ExecutionEngine {
         }
 
         // ---- Prepare and cost every group (no operand scans on the warm path) --------
-        // Decomposed groups are prepared here, through the cache: the decomposition and
-        // format packing happen at most once per group per batch (and zero times warm);
-        // costs come from the prepared terms' exact non-zero counts. Dense groups cost
-        // from their memoized plan's density — the non-zero scan runs only on the first
-        // batch that sees the operand content.
+        // Banded groups arrive prepared. Inline decomposed groups are prepared here,
+        // through the cache: the decomposition and format packing happen at most once
+        // per group per batch (and zero times warm); costs come from the prepared terms'
+        // exact non-zero counts. Dense groups cost from their memoized plan's density —
+        // the non-zero scan runs only on the first batch that sees the operand content.
         let mut member_cost = vec![0u64; n];
         let costed: Vec<CostedGroup> = groups
             .into_iter()
@@ -467,30 +500,19 @@ impl ExecutionEngine {
                 // group becomes GroupExec::Failed and still flows through scheduling,
                 // so every other group — and every telemetry invariant — is untouched.
                 let prep = catch_unwind(AssertUnwindSafe(|| -> (u64, GroupExec) {
-                    match &first.config {
-                        Some(cfg) => {
-                            // Oversized operands route through the shard policy (when
-                            // one is configured): one prepared series per row shard,
-                            // each a first-class cache entry keyed by the shard's own
-                            // fingerprint. Decomposition is row-local, so the summed
-                            // shard nnz equals the whole-matrix nnz and the cost
-                            // estimate is unchanged.
-                            if let Some(policy) = self.shard_policy_for(a.rows()).cloned() {
-                                let series = self.prepare_sharded(a, cfg, &policy);
-                                let macs = series.nnz() as u64;
-                                let cache_hit = series.all_cache_hits();
-                                (macs, GroupExec::Sharded { series, cache_hit })
-                            } else {
-                                let (series, cache_hit) = self.prepare_with_fingerprint(
-                                    a.as_ref(),
-                                    cfg,
-                                    group.fingerprint,
-                                );
-                                let macs = series.nnz() as u64;
-                                (macs, GroupExec::Prepared { series, cache_hit })
-                            }
+                    match (&group.banded, &first.config) {
+                        // Decomposition is row-local, so the summed band nnz equals
+                        // the whole operand's and the cost estimate is unchanged.
+                        (Some(bands), _) => {
+                            (bands.nnz() as u64, GroupExec::Banded(Arc::clone(bands)))
                         }
-                        None => {
+                        (None, Some(cfg)) => {
+                            let (series, cache_hit) =
+                                self.prepare_with_fingerprint(a.as_ref(), cfg, group.fingerprint);
+                            let macs = series.nnz() as u64;
+                            (macs, GroupExec::Prepared { series, cache_hit })
+                        }
+                        (None, None) => {
                             let plan = self.plan_gemm_memoized(
                                 a.as_ref(),
                                 group.fingerprint,
@@ -546,15 +568,16 @@ impl ExecutionEngine {
                 catch_unwind(AssertUnwindSafe(|| -> GroupOutcome {
                     let wide_b = pack_panels(&panels)?;
                     Ok(match &group.exec {
+                        GroupExec::Banded(bands) => {
+                            // One packed multi-RHS pass per band, each writing its own
+                            // rows of the wide output; bitwise identical to the whole
+                            // operand's pass.
+                            let mut c = Matrix::zeros(first.a.rows(), wide_b.cols());
+                            self.gemm_bands_into(first.a.shape(), &bands.bands, &wide_b, &mut c)?;
+                            (c, false, false)
+                        }
                         GroupExec::Prepared { series, cache_hit } => {
                             let c = self.series_gemm_prepared(series, &wide_b)?;
-                            (c, *cache_hit, !*cache_hit)
-                        }
-                        GroupExec::Sharded { series, cache_hit } => {
-                            // One packed multi-RHS pass per shard, each writing its
-                            // disjoint row range of the wide output; bitwise identical
-                            // to the unsharded pass.
-                            let c = self.series_gemm_sharded(series, &wide_b)?;
                             (c, *cache_hit, !*cache_hit)
                         }
                         GroupExec::Dense { plan } => {

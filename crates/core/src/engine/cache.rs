@@ -3,7 +3,7 @@
 use super::prepared::PreparedSeries;
 use crate::config::TasdConfig;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Cache key: a 64-bit content fingerprint of the matrix
@@ -67,8 +67,7 @@ pub struct DecompositionCache {
     bytes_resident: usize,
     /// Reference counts of resident prepared-series *allocations*, keyed by `Arc`
     /// pointer. `bytes_resident` charges each allocation once however many keys alias
-    /// it — a shard entry and a parent entry resolving to the same prepared series (a
-    /// single-shard split has the parent's exact content) share storage, so counting
+    /// it — two keys resolving to the same prepared series share storage, so counting
     /// both would overstate the footprint.
     resident_allocs: HashMap<usize, ResidentAlloc>,
 }
@@ -248,34 +247,20 @@ impl DecompositionCache {
         self.bytes_resident = 0;
     }
 
-    /// Every resident entry as `(key, prepared)` clones, in deterministic order
-    /// (fingerprint, then shape, then config). This is the read seam the snapshot
-    /// writer (`engine::persist`) serializes from — persistence never touches the
-    /// cache's internal maps, so the entry/recency/byte bookkeeping cannot be skewed
-    /// by taking a snapshot.
-    pub(crate) fn persistable_entries(&self) -> Vec<(CacheKey, Arc<PreparedSeries>)> {
-        let mut out: Vec<(CacheKey, Arc<PreparedSeries>)> = self
-            .entries
+    /// `bytes_resident` plus the bytes of every allocation in `extra` this cache does
+    /// not already hold, each counted once — the footprint of the cache together with
+    /// prepared series held elsewhere (a weight store's bands).
+    pub(crate) fn bytes_resident_with(&self, extra: &[Arc<PreparedSeries>]) -> usize {
+        let mut seen = HashSet::new();
+        let extra: usize = extra
             .iter()
-            .map(|(k, e)| (k.clone(), Arc::clone(&e.prepared)))
-            .collect();
-        out.sort_by(|(a, _), (b, _)| {
-            a.fingerprint
-                .cmp(&b.fingerprint)
-                .then(a.shape.cmp(&b.shape))
-                .then_with(|| a.config.to_string().cmp(&b.config.to_string()))
-        });
-        out
-    }
-
-    /// Adopts one entry recovered from a snapshot — the write seam matching
-    /// [`persistable_entries`](Self::persistable_entries). Routes through the same
-    /// first-insert-wins and allocation-dedup path as a live insert, so a load-adopt
-    /// cycle leaves `bytes_resident` (including aliased-allocation dedup) exactly as a
-    /// live population would, and never displaces an entry the running engine already
-    /// resolved.
-    pub(crate) fn adopt_entry(&mut self, key: CacheKey, prepared: Arc<PreparedSeries>) {
-        self.insert_or_get(key, prepared);
+            .filter(|p| {
+                let key = Arc::as_ptr(p) as usize;
+                !self.resident_allocs.contains_key(&key) && seen.insert(key)
+            })
+            .map(|p| p.storage_bytes())
+            .sum();
+        self.bytes_resident + extra
     }
 }
 
@@ -297,8 +282,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Storage footprint of every resident prepared series, in bytes — the compressed
     /// terms plus their packed execution formats. Deduped by allocation: when two keys
-    /// alias the same prepared series (a shard entry and a parent entry with identical
-    /// content), the shared storage is charged exactly once. Per-entry
+    /// alias the same prepared series, the shared storage is charged exactly once. Per-entry
     /// [`CacheEntryStats::bytes`] still report each entry's full footprint, so their sum
     /// can exceed this figure when aliases are resident.
     pub bytes_resident: usize,
@@ -455,15 +439,14 @@ mod tests {
 
     #[test]
     fn aliased_allocations_are_charged_once() {
-        // Regression: the same prepared series resident under two keys (e.g. a
-        // single-shard split whose shard has the parent's exact content, re-keyed under
-        // a different fingerprint) shares one allocation — `bytes_resident` must charge
-        // it once, and keep charging it until the *last* aliasing key is gone.
+        // Regression: the same prepared series resident under two keys shares one
+        // allocation — `bytes_resident` must charge it once, and keep charging it until
+        // the *last* aliasing key is gone.
         let mut cache = DecompositionCache::new(4);
         let shared = series();
         let per_entry = shared.storage_bytes();
-        cache.insert(key(1), Arc::clone(&shared)); // "parent" key
-        cache.insert(key(2), Arc::clone(&shared)); // "shard" key, same allocation
+        cache.insert(key(1), Arc::clone(&shared));
+        cache.insert(key(2), Arc::clone(&shared)); // same allocation
         assert_eq!(cache.stats().entries, 2);
         assert_eq!(
             cache.stats().bytes_resident,
@@ -512,45 +495,22 @@ mod tests {
     }
 
     #[test]
-    fn bytes_resident_dedup_survives_a_load_adopt_cycle() {
-        // Regression for the persistence seams: entries read out through
-        // `persistable_entries` and re-inserted through `adopt_entry` (a save/load
-        // cycle) must reproduce the dedup'd byte accounting of the original cache —
-        // including an allocation aliased by two keys — and adopting into a cache that
-        // already holds a key must keep the resident copy (first-insert-wins).
+    fn bytes_resident_with_counts_each_allocation_once() {
+        // A weight store's bands join the cache's footprint in the `Stats` frame: an
+        // allocation the cache holds, or one listed twice, must be charged once.
         let mut cache = DecompositionCache::new(4);
-        let shared = series();
-        let per_entry = shared.storage_bytes();
-        cache.insert(key(1), Arc::clone(&shared));
-        cache.insert(key(2), Arc::clone(&shared)); // alias: same allocation, two keys
-        cache.insert(key(3), series());
-        assert_eq!(cache.stats().bytes_resident, 2 * per_entry);
-
-        let snapshot = cache.persistable_entries();
-        assert_eq!(snapshot.len(), 3);
-        assert!(
-            snapshot
-                .windows(2)
-                .all(|w| w[0].0.fingerprint <= w[1].0.fingerprint),
-            "snapshot order must be deterministic"
-        );
-
-        let mut restored = DecompositionCache::new(4);
-        for (k, prepared) in snapshot {
-            restored.adopt_entry(k, prepared);
-        }
-        assert_eq!(restored.stats().entries, 3);
+        let cached = series();
+        let per_entry = cached.storage_bytes();
+        cache.insert(key(1), Arc::clone(&cached));
+        assert_eq!(cache.bytes_resident_with(&[]), per_entry);
+        let band = series();
+        let extra = [Arc::clone(&cached), Arc::clone(&band), band];
+        assert_eq!(cache.bytes_resident_with(&extra), 2 * per_entry);
         assert_eq!(
-            restored.stats().bytes_resident,
-            2 * per_entry,
-            "aliased allocation must still be charged once after the cycle"
+            cache.stats().bytes_resident,
+            per_entry,
+            "the cache itself is unchanged"
         );
-
-        // Adopting over a live key must not displace the resident series.
-        let resident = restored.get(&key(1)).unwrap();
-        restored.adopt_entry(key(1), series());
-        assert!(Arc::ptr_eq(&restored.get(&key(1)).unwrap(), &resident));
-        assert_eq!(restored.stats().bytes_resident, 2 * per_entry);
     }
 
     #[test]

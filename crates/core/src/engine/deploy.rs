@@ -12,53 +12,61 @@
 //!    fold of position-mixed row hashes, so a push updates it *incrementally*: XOR out
 //!    the dirty rows' old terms, XOR in their new ones, O(dirty) instead of O(rows)
 //!    (and independently verifiable by refolding from scratch).
-//! 3. **Shard-granular re-preparation** — preparation routes through the engine's
-//!    decomposition cache at the PR-4 row-shard granularity
-//!    ([`shard_policy_for`](super::ExecutionEngine::shard_policy_for)): a clean shard's
-//!    content fingerprint is unchanged, so its cache entry hits and only *dirty* shards
-//!    re-decompose. The [`DeployReport`] pins this down: `prepares` (actual
-//!    decompositions) tracks `dirty_shards`, not `total_shards`.
+//! 3. **Band-granular re-preparation** — a generation owns its prepared form as fixed
+//!    [`BAND_ROWS`]-row bands, each its own `Arc<PreparedSeries>`. A deploy decomposes
+//!    only the bands holding a changed row (every band for a new name or config) and
+//!    shares the clean bands' `Arc`s with the generation it replaces, so a superseded
+//!    band is freed as soon as the last in-flight window drops it. Band decompositions
+//!    run on the deploying thread and never enter the engine's cache. Decomposition is
+//!    row-local and every band term is packed for the backend the *whole* operand's
+//!    shape selects, so a banded generation answers bitwise as the whole operand's
+//!    prepared series would. The [`DeployReport`] counts exactly the bands this deploy
+//!    decomposed.
 //! 4. **Atomic swap** — the new [`Generation`] is installed under a brief store lock
 //!    *after* preparation completes. Requests resolve operands by cloning the resident
 //!    generation's `Arc` ([`resolve`](WeightStore::resolve)), so enqueue never blocks
 //!    on an in-progress deploy, in-flight windows keep executing the old generation's
-//!    matrix bitwise-unchanged (the `Arc` they captured at enqueue is immutable), and
-//!    new enqueues see the new weights the moment the swap lands.
+//!    bands bitwise-unchanged (the request built at enqueue carries them), and new
+//!    enqueues see the new weights the moment the swap lands.
 //!
 //! Preparation runs **outside** the store lock and under `catch_unwind`: a deploy that
 //! panics mid-preparation (see the chaos suite's [`FaultPlan`](super::FaultPlan)
 //! schedules) surfaces as [`DeployError::PreparePanicked`] and leaves the store
 //! exactly as it was — readers never observe a torn generation.
+//!
+//! A snapshot (`engine::persist`) saves every live operand's configuration, row hashes
+//! and bands. Loaded back ([`load_snapshot`](super::load_snapshot)), those operands are
+//! not resolvable — a snapshot holds prepared state, not weights — but a `register` of
+//! the same name, configuration and shape reuses their bands as it would a resident
+//! generation's, so re-registering unchanged weights decomposes nothing.
 
 use super::batch::describe_panic;
+use super::prepared::PreparedSeries;
 use super::sync::lock_or_panic;
 use super::{BatchRequest, ExecutionEngine};
 use crate::config::TasdConfig;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
+use tasd_tensor::hash::{avalanche, hash_f32s};
 use tasd_tensor::Matrix;
 
-const M: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Rows per band: the unit a generation prepares, shares across deploys, and executes.
+/// The last band of an operand takes the ragged remainder.
+pub const BAND_ROWS: usize = 64;
 
-/// Splitmix64-style finalizer (the same avalanche [`Matrix::fingerprint`] uses).
-#[inline]
-fn avalanche(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+const M: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Content hash of one row (element bit patterns, so the diff is bitwise-exact:
 /// `-0.0` vs `0.0` or NaN payload changes count as changes).
 fn row_hash(row: &[f32]) -> u64 {
-    let mut h = M ^ row.len() as u64;
-    for &x in row {
-        h = (h ^ u64::from(x.to_bits())).wrapping_mul(M);
-    }
-    avalanche(h)
+    hash_f32s(row, 1, row.len() as u64)
+}
+
+fn row_hashes(matrix: &Matrix) -> Vec<u64> {
+    (0..matrix.rows())
+        .map(|r| row_hash(matrix.row(r)))
+        .collect()
 }
 
 /// The zobrist term of row `r`: its content hash mixed with its position, so swapping
@@ -77,20 +85,52 @@ pub(crate) fn zobrist_fold(row_hashes: &[u64]) -> u64 {
         .fold(0, |acc, (r, &h)| acc ^ zobrist_term(h, r))
 }
 
+/// The row ranges of an operand's bands: `[0, 64), [64, 128), …`, the last ragged.
+pub(crate) fn band_ranges(rows: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..rows)
+        .step_by(BAND_ROWS)
+        .map(move |r0| (r0, (r0 + BAND_ROWS).min(rows)))
+}
+
+/// A generation's prepared form as requests execute it: the weights, their
+/// configuration, and one prepared series per band. [`Generation::request`] hands it to
+/// the request, so a banded group skips the fingerprint memo and the cache.
+#[derive(Debug)]
+pub(crate) struct Banded {
+    pub(crate) matrix: Arc<Matrix>,
+    pub(crate) config: TasdConfig,
+    /// The generation's store fingerprint (what batch telemetry reports for the group).
+    pub(crate) fingerprint: u64,
+    pub(crate) bands: Vec<Arc<PreparedSeries>>,
+}
+
+impl Banded {
+    /// Whether `request` still names these weights and this configuration — a caller
+    /// may have replaced the request's public `a` or `config` after building it, and
+    /// then the bands no longer describe what it asks for.
+    pub(crate) fn serves(&self, request: &BatchRequest) -> bool {
+        Arc::ptr_eq(&self.matrix, &request.a) && request.config.as_ref() == Some(&self.config)
+    }
+
+    /// Stored non-zeros across every band's terms (the whole operand's series nnz).
+    pub(crate) fn nnz(&self) -> usize {
+        self.bands.iter().map(|band| band.nnz()).sum()
+    }
+}
+
 /// One immutable version of a named serving operand: the weights, their decomposition
-/// configuration, and the row-hash bookkeeping the next deploy will diff against.
+/// configuration, their prepared bands, and the row-hash bookkeeping the next deploy
+/// will diff against.
 ///
 /// Generations are handed out behind `Arc`s and never mutated: a request that resolved
-/// a generation before a swap keeps executing that exact matrix — bitwise — however
+/// a generation before a swap keeps executing that exact version — bitwise — however
 /// many deploys land while it is in flight.
 #[derive(Debug)]
 pub struct Generation {
     name: String,
     number: u64,
-    matrix: Arc<Matrix>,
-    config: TasdConfig,
     row_hashes: Vec<u64>,
-    store_fingerprint: u64,
+    operand: Arc<Banded>,
 }
 
 impl Generation {
@@ -108,26 +148,34 @@ impl Generation {
     /// The weights themselves. Shared, immutable: this is the `Arc` serving requests
     /// capture at enqueue.
     pub fn matrix(&self) -> &Arc<Matrix> {
-        &self.matrix
+        &self.operand.matrix
     }
 
     /// The decomposition configuration requests against this operand use.
     pub fn config(&self) -> &TasdConfig {
-        &self.config
+        &self.operand.config
     }
 
     /// The zobrist-folded store fingerprint of this version (see the [module
-    /// docs](self)). Not the engine cache key — that keys per shard — but a cheap
-    /// whole-operand identity deploys maintain incrementally.
+    /// docs](self)): a cheap whole-operand identity deploys maintain incrementally.
     pub fn store_fingerprint(&self) -> u64 {
-        self.store_fingerprint
+        self.operand.fingerprint
+    }
+
+    /// The prepared bands, in row order: band `i` is rows
+    /// `i·BAND_ROWS .. min((i+1)·BAND_ROWS, rows)` decomposed under
+    /// [`config`](Self::config). A band a deploy left clean is the same allocation as in
+    /// the generation it replaced.
+    pub fn bands(&self) -> &[Arc<PreparedSeries>] {
+        &self.operand.bands
     }
 
     /// Builds the serving request `self · b` against this generation's weights and
-    /// configuration. The operand `Arc` is captured here, at request-build time — the
-    /// swap-safety contract in the [module docs](self) follows from that.
+    /// configuration. The request carries the generation's bands, captured here, at
+    /// request-build time — the swap-safety contract in the [module docs](self)
+    /// follows from that.
     pub fn request(&self, b: Matrix) -> BatchRequest {
-        BatchRequest::decomposed(Arc::clone(&self.matrix), self.config.clone(), b)
+        BatchRequest::banded(Arc::clone(&self.operand), b)
     }
 }
 
@@ -137,19 +185,18 @@ pub struct DeployReport {
     /// The store generation counter after this deploy (unchanged when the push was a
     /// no-op: zero dirty rows keeps the resident generation, `Arc` and all).
     pub generation: u64,
-    /// Rows whose content hash changed.
+    /// Rows whose content hash changed (every row for a register).
     pub dirty_rows: usize,
     /// Total rows of the operand.
     pub total_rows: usize,
-    /// Row shards (under the engine's shard policy) containing at least one dirty row —
-    /// the shards that actually had to re-decompose.
+    /// Bands holding at least one dirty row (every band for a register).
     pub dirty_shards: usize,
-    /// Total row shards of the operand (1 when the engine does not shard it).
+    /// Total bands of the operand: ⌈rows / [`BAND_ROWS`]⌉.
     pub total_shards: usize,
-    /// Decompositions the engine performed during this deploy's preparation (delta of
-    /// [`PrepStats::prepares`](super::PrepStats::prepares); approximate under
-    /// concurrent unrelated traffic). For a push under a row-stable shard policy this
-    /// tracks `dirty_shards`, not `total_shards` — clean shards hit the cache.
+    /// Bands this deploy decomposed — exact, whatever else runs on the engine. A push
+    /// decomposes its dirty bands; a register decomposes every band it cannot reuse from
+    /// the resident generation or a restored snapshot of the same name, configuration
+    /// and shape. Also counted in [`PrepStats::prepares`](super::PrepStats::prepares).
     pub prepares: u64,
 }
 
@@ -200,12 +247,30 @@ impl std::fmt::Display for DeployError {
 
 impl std::error::Error for DeployError {}
 
+/// What a snapshot keeps of one operand: its prepared bands and the row hashes a
+/// `register` diffs them by — not its weights.
+#[derive(Debug)]
+pub(crate) struct SavedOperand {
+    pub(crate) name: String,
+    pub(crate) config: TasdConfig,
+    pub(crate) shape: (usize, usize),
+    pub(crate) row_hashes: Vec<u64>,
+    pub(crate) bands: Vec<Arc<PreparedSeries>>,
+}
+
 #[derive(Debug, Default)]
 struct StoreState {
     entries: HashMap<String, Arc<Generation>>,
+    /// Operands loaded from a snapshot and not registered since: never resolvable, only
+    /// the source a matching `register` reuses bands from.
+    restored: HashMap<String, Arc<SavedOperand>>,
     /// Monotonic deploy counter across all names; 0 = nothing ever deployed.
     generation: u64,
 }
+
+/// The row hashes and bands a deploy diffs against: the resident generation, or a
+/// restored operand.
+type Base<'a> = (&'a [u64], &'a [Arc<PreparedSeries>]);
 
 /// The deployment surface: named operands, each resolving to its current
 /// [`Generation`], swapped atomically by [`register`](Self::register) /
@@ -221,7 +286,7 @@ pub struct WeightStore {
 }
 
 impl WeightStore {
-    /// An empty store preparing through `engine`'s decomposition cache.
+    /// An empty store preparing bands with `engine`'s planner and kernels.
     pub fn new(engine: Arc<ExecutionEngine>) -> Self {
         WeightStore {
             engine,
@@ -229,7 +294,7 @@ impl WeightStore {
         }
     }
 
-    /// The engine this store prepares through.
+    /// The engine this store prepares with.
     pub fn engine(&self) -> &Arc<ExecutionEngine> {
         &self.engine
     }
@@ -261,11 +326,26 @@ impl WeightStore {
             .map(Arc::clone)
     }
 
+    /// Prepared bytes resident for serving: the bands of every live generation and
+    /// restored operand plus the engine's prepared cache, each allocation counted once.
+    /// A superseded band stops counting once the store replaced it, and is freed once
+    /// the last in-flight request holding it completes.
+    pub fn bytes_resident(&self) -> usize {
+        let bands: Vec<Arc<PreparedSeries>> = {
+            let state = lock_or_panic(&self.state, "weight store");
+            let live = state.entries.values().map(|g| g.bands());
+            let restored = state.restored.values().map(|s| s.bands.as_slice());
+            live.chain(restored).flatten().cloned().collect()
+        };
+        lock_or_panic(&self.engine.cache, "prepared cache").bytes_resident_with(&bands)
+    }
+
     /// Registers (or wholesale replaces) `name` with `matrix` decomposed under
-    /// `config`, preparing every shard. Use [`push`](Self::push) for incremental
-    /// updates to an existing name — `register` always prepares the full operand
-    /// (there is no prior generation under this config to diff against; replacing an
-    /// existing name's config invalidates all of its shards by definition).
+    /// `config`. Every row and band counts as dirty in the report, but a band whose
+    /// rows equal the resident generation's — or a restored snapshot's, for a name
+    /// not yet registered since the restart — under the same configuration and shape is
+    /// shared instead of decomposed: re-registering unchanged weights decomposes
+    /// nothing. A new name or configuration decomposes every band.
     ///
     /// # Errors
     ///
@@ -278,44 +358,53 @@ impl WeightStore {
         config: TasdConfig,
     ) -> Result<DeployReport, DeployError> {
         let matrix = matrix.into();
-        let row_hashes: Vec<u64> = (0..matrix.rows())
-            .map(|r| row_hash(matrix.row(r)))
-            .collect();
-        let store_fingerprint = zobrist_fold(&row_hashes);
-        let total_shards = self.shard_ranges(&matrix).len();
-        let prepares = self.prepare_guarded(&matrix, &config)?;
-        let generation = {
-            let mut state = lock_or_panic(&self.state, "weight store");
-            state.generation += 1;
-            let number = state.generation;
-            state.entries.insert(
-                name.to_string(),
-                Arc::new(Generation {
-                    name: name.to_string(),
-                    number,
-                    matrix: Arc::clone(&matrix),
-                    config,
-                    row_hashes,
-                    store_fingerprint,
-                }),
-            );
-            number
+        let row_hashes = row_hashes(&matrix);
+        let (resident, restored) = {
+            let state = lock_or_panic(&self.state, "weight store");
+            (
+                state.entries.get(name).cloned(),
+                state.restored.get(name).cloned(),
+            )
         };
+        let base: Option<Base> = match (&resident, &restored) {
+            (Some(g), _) if g.config() == &config && g.matrix().shape() == matrix.shape() => {
+                Some((&g.row_hashes, g.bands()))
+            }
+            (_, Some(saved)) if saved.config == config && saved.shape == matrix.shape() => {
+                Some((&saved.row_hashes, &saved.bands))
+            }
+            _ => None,
+        };
+        let (bands, prepares) = self.prepare_bands(&matrix, &config, &row_hashes, base)?;
+        let total = bands.len();
+        let rows = matrix.rows();
+        let store_fingerprint = zobrist_fold(&row_hashes);
+        let generation = self.install(name, |_| Generation {
+            name: name.to_string(),
+            number: 0,
+            row_hashes,
+            operand: Arc::new(Banded {
+                matrix,
+                config,
+                fingerprint: store_fingerprint,
+                bands,
+            }),
+        });
         Ok(DeployReport {
             generation,
-            dirty_rows: matrix.rows(),
-            total_rows: matrix.rows(),
-            dirty_shards: total_shards,
-            total_shards,
+            dirty_rows: rows,
+            total_rows: rows,
+            dirty_shards: total,
+            total_shards: total,
             prepares,
         })
     }
 
     /// Pushes new weights for a registered operand, re-preparing **only the dirty
-    /// shards** (see the [module docs](self)) and then swapping the generation
+    /// bands** (see the [module docs](self)) and then swapping the generation
     /// atomically. A push whose every row hash is unchanged is a no-op: the resident
-    /// generation — its `Arc<Matrix>` identity included, which keeps the engine's
-    /// fingerprint memo warm — stays installed and the report shows zero dirty rows.
+    /// generation — its `Arc`s included — stays installed and the report shows zero
+    /// dirty rows.
     ///
     /// # Errors
     ///
@@ -334,132 +423,172 @@ impl WeightStore {
             .ok_or_else(|| DeployError::UnknownOperand {
                 name: name.to_string(),
             })?;
-        if matrix.shape() != base.matrix.shape() {
+        if matrix.shape() != base.matrix().shape() {
             return Err(DeployError::ShapeMismatch {
-                expected: base.matrix.shape(),
+                expected: base.matrix().shape(),
                 got: matrix.shape(),
             });
         }
-        let row_hashes: Vec<u64> = (0..matrix.rows())
-            .map(|r| row_hash(matrix.row(r)))
-            .collect();
+        let row_hashes = row_hashes(&matrix);
         let dirty: Vec<usize> = (0..matrix.rows())
             .filter(|&r| row_hashes[r] != base.row_hashes[r])
             .collect();
+        let rows = matrix.rows();
+        let total = base.bands().len();
         if dirty.is_empty() {
             return Ok(DeployReport {
                 generation: base.number,
                 dirty_rows: 0,
-                total_rows: matrix.rows(),
+                total_rows: rows,
                 dirty_shards: 0,
-                total_shards: self.shard_ranges(&matrix).len(),
+                total_shards: total,
                 prepares: 0,
             });
         }
         // Incremental zobrist update: XOR out the dirty rows' old terms, in the new.
         // O(dirty rows); `zobrist_fold` from scratch is the cross-check (tested).
-        let store_fingerprint = dirty.iter().fold(base.store_fingerprint, |acc, &r| {
+        let incremental = dirty.iter().fold(base.store_fingerprint(), |acc, &r| {
             acc ^ zobrist_term(base.row_hashes[r], r) ^ zobrist_term(row_hashes[r], r)
         });
-        let ranges = self.shard_ranges(&matrix);
-        let dirty_shards = ranges
-            .iter()
-            .filter(|&&(r0, r1)| {
-                let first_in_range = dirty.partition_point(|&r| r < r0);
-                dirty.get(first_in_range).is_some_and(|&r| r < r1)
-            })
-            .count();
-        // Preparation outside the store lock: clean shards hit the cache (their
-        // content fingerprints are unchanged), dirty shards decompose. A panic here
-        // must not tear the store — the old generation stays resolvable throughout.
-        let prepares = self.prepare_guarded(&matrix, &base.config)?;
-        let generation = {
-            let mut state = lock_or_panic(&self.state, "weight store");
-            state.generation += 1;
-            let number = state.generation;
-            let resident = state.entries.get(name);
-            // A concurrent push may have raced us since `base` was read; the row-hash
-            // state below is self-consistent either way (it was computed from the new
-            // matrix alone), but the incremental fingerprint delta was taken against
-            // `base` — refold from scratch if the base moved underneath us.
+        // Preparation outside the store lock: the base's clean bands are shared, dirty
+        // bands decompose. A panic here must not tear the store — the old generation
+        // stays resolvable throughout.
+        let config = base.config().clone();
+        let (bands, prepares) = self.prepare_bands(
+            &matrix,
+            &config,
+            &row_hashes,
+            Some((&base.row_hashes, base.bands())),
+        )?;
+        let generation = self.install(name, |resident| {
+            // A concurrent push may have raced us since `base` was read; the bands and
+            // row hashes are self-consistent either way (clean bands are clean against
+            // `base`, whose rows they hold), but the incremental fingerprint delta was
+            // taken against `base` — refold from scratch if the base moved underneath.
             let store_fingerprint = if resident.is_some_and(|current| current.number != base.number)
             {
                 zobrist_fold(&row_hashes)
             } else {
-                store_fingerprint
+                incremental
             };
-            state.entries.insert(
-                name.to_string(),
-                Arc::new(Generation {
-                    name: name.to_string(),
-                    number,
-                    matrix: Arc::clone(&matrix),
-                    config: base.config.clone(),
-                    row_hashes,
-                    store_fingerprint,
+            Generation {
+                name: name.to_string(),
+                number: 0,
+                row_hashes,
+                operand: Arc::new(Banded {
+                    matrix,
+                    config,
+                    fingerprint: store_fingerprint,
+                    bands,
                 }),
-            );
-            number
-        };
+            }
+        });
         Ok(DeployReport {
             generation,
             dirty_rows: dirty.len(),
-            total_rows: matrix.rows(),
-            dirty_shards,
-            total_shards: ranges.len(),
+            total_rows: rows,
+            dirty_shards: prepares as usize,
+            total_shards: total,
             prepares,
         })
     }
 
-    /// The row ranges the engine's shard policy splits `matrix` into — the unit of
-    /// re-preparation. One whole-matrix range when the engine does not shard it.
-    ///
-    /// Row-count-only policies (`FixedRows`, `TargetShards`) produce stable ranges, so
-    /// a push's dirty-shard count is exact. `NnzBalanced` ranges depend on content and
-    /// can shift with a push — shifted clean shards then re-prepare too (the report's
-    /// `prepares` is the ground truth; `dirty_shards` is the content diff).
-    fn shard_ranges(&self, matrix: &Matrix) -> Vec<(usize, usize)> {
-        match self.engine.shard_policy_for(matrix.rows()) {
-            Some(policy) => policy.split(matrix),
-            None => vec![(0, matrix.rows())],
-        }
+    /// Installs the generation `build` makes from the resident one (if any) under the
+    /// store lock, numbering it with the next deploy counter value, and retires any
+    /// restored operand of the same name. Returns the new generation number.
+    fn install(
+        &self,
+        name: &str,
+        build: impl FnOnce(Option<&Arc<Generation>>) -> Generation,
+    ) -> u64 {
+        let mut state = lock_or_panic(&self.state, "weight store");
+        state.generation += 1;
+        let number = state.generation;
+        let generation = Generation {
+            number,
+            ..build(state.entries.get(name))
+        };
+        state.entries.insert(name.to_string(), Arc::new(generation));
+        state.restored.remove(name);
+        number
     }
 
-    /// Warms the engine for serving `matrix` (sharded when the policy applies), under
-    /// `catch_unwind`, returning the decomposition count. Runs with no store lock held.
-    fn prepare_guarded(
+    /// The bands of `matrix` under `config`: a band whose rows all hash as in `base`
+    /// shares the base's band, every other band decomposes here — on the deploying
+    /// thread, under `catch_unwind`, with no store lock held. Returns the bands and how
+    /// many were decomposed.
+    fn prepare_bands(
         &self,
-        matrix: &Arc<Matrix>,
+        matrix: &Matrix,
         config: &TasdConfig,
-    ) -> Result<u64, DeployError> {
-        let before = self.engine.prep_stats().prepares;
-        let engine = Arc::clone(&self.engine);
-        let operand = Arc::clone(matrix);
-        let config = config.clone();
-        catch_unwind(AssertUnwindSafe(move || {
-            engine.warm_serving_operand(&operand, &config)
+        row_hashes: &[u64],
+        base: Option<Base>,
+    ) -> Result<(Vec<Arc<PreparedSeries>>, u64), DeployError> {
+        let mut prepares = 0u64;
+        let bands = catch_unwind(AssertUnwindSafe(|| {
+            band_ranges(matrix.rows())
+                .enumerate()
+                .map(|(i, (r0, r1))| match base {
+                    Some((hashes, bands)) if hashes[r0..r1] == row_hashes[r0..r1] => {
+                        Arc::clone(&bands[i])
+                    }
+                    _ => {
+                        prepares += 1;
+                        let fingerprint = zobrist_fold(&row_hashes[r0..r1]);
+                        self.engine
+                            .prepare_band(matrix, (r0, r1), config, fingerprint)
+                    }
+                })
+                .collect()
         }))
         .map_err(|payload| DeployError::PreparePanicked {
             payload: describe_panic(payload.as_ref()),
         })?;
-        Ok(self.engine.prep_stats().prepares - before)
+        Ok((bands, prepares))
+    }
+
+    /// Every live operand (and every restored one not registered since), as a snapshot
+    /// saves them, sorted by name. No name is both: `install` retires a name's restored
+    /// copy and `restore` skips live names.
+    pub(crate) fn saved_operands(&self) -> Vec<Arc<SavedOperand>> {
+        let state = lock_or_panic(&self.state, "weight store");
+        let live = state.entries.values().map(|g| {
+            Arc::new(SavedOperand {
+                name: g.name.clone(),
+                config: g.config().clone(),
+                shape: g.matrix().shape(),
+                row_hashes: g.row_hashes.clone(),
+                bands: g.bands().to_vec(),
+            })
+        });
+        let restored = state.restored.values().cloned();
+        let mut operands: Vec<Arc<SavedOperand>> = live.chain(restored).collect();
+        operands.sort_by(|a, b| a.name.cmp(&b.name));
+        operands
+    }
+
+    /// Adopts operands loaded from a snapshot as sources for `register`. A name that is
+    /// already live keeps its generation; the restored copy is dropped.
+    pub(crate) fn restore(&self, operands: Vec<SavedOperand>) {
+        let mut state = lock_or_panic(&self.state, "weight store");
+        for operand in operands {
+            if !state.entries.contains_key(&operand.name) {
+                state
+                    .restored
+                    .insert(operand.name.clone(), Arc::new(operand));
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::ShardPolicy;
     use super::*;
     use tasd_tensor::MatrixGenerator;
 
-    fn sharded_engine() -> Arc<ExecutionEngine> {
-        Arc::new(
-            ExecutionEngine::builder()
-                .shard_policy(ShardPolicy::FixedRows(16))
-                .shard_min_rows(2)
-                .workers(1)
-                .build(),
-        )
+    /// The engine `tasd-serve` builds.
+    fn engine() -> Arc<ExecutionEngine> {
+        Arc::new(ExecutionEngine::builder().build())
     }
 
     fn cfg() -> TasdConfig {
@@ -468,49 +597,71 @@ mod tests {
 
     #[test]
     fn register_prepares_every_shard() {
-        let engine = sharded_engine();
+        let engine = engine();
         let store = WeightStore::new(Arc::clone(&engine));
-        let a = MatrixGenerator::seeded(11).sparse_normal(64, 32, 0.8);
+        let a = MatrixGenerator::seeded(11).sparse_normal(256, 64, 0.8);
         let report = store.register("mlp.0", a, cfg()).unwrap();
         assert_eq!(report.generation, 1);
         assert_eq!(report.total_shards, 4);
         assert_eq!(report.dirty_shards, 4);
-        assert_eq!(report.prepares, 4, "one decomposition per shard");
+        assert_eq!(report.prepares, 4, "one decomposition per band");
+        assert_eq!(engine.prep_stats().prepares, 4);
+        assert_eq!(
+            engine.cache_stats().entries,
+            0,
+            "bands never enter the cache"
+        );
         assert_eq!(store.generation(), 1);
         assert_eq!(store.names(), vec!["mlp.0".to_string()]);
         let generation = store.resolve("mlp.0").unwrap();
         assert_eq!(generation.number(), 1);
         assert_eq!(generation.config(), &cfg());
+        assert_eq!(generation.bands().len(), 4);
     }
 
     #[test]
     fn push_reprepares_only_dirty_shards() {
-        let engine = sharded_engine();
+        let engine = engine();
         let store = WeightStore::new(Arc::clone(&engine));
         let mut gen = MatrixGenerator::seeded(12);
-        let a = gen.sparse_normal(64, 32, 0.8);
+        let a = gen.sparse_normal(256, 64, 0.8);
         store.register("w", a.clone(), cfg()).unwrap();
-        // Touch one row in the second 16-row shard.
+        let before = store.resolve("w").unwrap();
+        // Touch one row in the second band.
         let mut b = a.clone();
-        b[(20, 3)] += 1.0;
+        b[(70, 3)] += 1.0;
         let report = store.push("w", b).unwrap();
         assert_eq!(report.dirty_rows, 1);
-        assert_eq!(report.total_rows, 64);
+        assert_eq!(report.total_rows, 256);
         assert_eq!(report.dirty_shards, 1);
         assert_eq!(report.total_shards, 4);
-        assert_eq!(
-            report.prepares, 1,
-            "clean shards must be cache hits, only the dirty shard decomposes"
-        );
+        assert_eq!(report.prepares, 1, "only the dirty band decomposes");
         assert_eq!(report.generation, 2);
         let resolved = store.resolve("w").unwrap();
         assert_eq!(resolved.number(), 2);
-        assert_eq!(resolved.matrix()[(20, 3)], a[(20, 3)] + 1.0);
+        assert_eq!(resolved.matrix()[(70, 3)], a[(70, 3)] + 1.0);
+        for (i, (old, new)) in before.bands().iter().zip(resolved.bands()).enumerate() {
+            assert_eq!(Arc::ptr_eq(old, new), i != 1, "band {i} shared iff clean");
+        }
+    }
+
+    #[test]
+    fn re_registering_unchanged_weights_decomposes_nothing() {
+        let engine = engine();
+        let store = WeightStore::new(Arc::clone(&engine));
+        let a = MatrixGenerator::seeded(17).sparse_normal(130, 24, 0.7);
+        store.register("w", a.clone(), cfg()).unwrap();
+        let report = store.register("w", a.clone(), cfg()).unwrap();
+        assert_eq!(report.prepares, 0);
+        assert_eq!((report.dirty_rows, report.dirty_shards), (130, 3));
+        // A new configuration invalidates every band.
+        let other = TasdConfig::parse("2:8").unwrap();
+        assert_eq!(store.register("w", a, other).unwrap().prepares, 3);
     }
 
     #[test]
     fn identical_push_is_a_no_op_that_keeps_the_resident_arc() {
-        let engine = sharded_engine();
+        let engine = engine();
         let store = WeightStore::new(engine);
         let a = MatrixGenerator::seeded(13).sparse_normal(32, 16, 0.7);
         store.register("w", a.clone(), cfg()).unwrap();
@@ -522,14 +673,14 @@ mod tests {
         assert_eq!(report.generation, before.number(), "generation unchanged");
         let after = store.resolve("w").unwrap();
         assert!(
-            Arc::ptr_eq(before.matrix(), after.matrix()),
-            "the resident allocation (and its fingerprint-memo entry) must survive"
+            Arc::ptr_eq(&before, &after),
+            "the resident generation (weights and bands) must survive"
         );
     }
 
     #[test]
     fn incremental_fingerprint_matches_from_scratch_fold() {
-        let engine = sharded_engine();
+        let engine = engine();
         let store = WeightStore::new(engine);
         let mut gen = MatrixGenerator::seeded(14);
         let a = gen.sparse_normal(48, 24, 0.6);
@@ -539,7 +690,7 @@ mod tests {
         b[(47, 23)] = -7.5;
         store.push("w", b.clone()).unwrap();
         let resolved = store.resolve("w").unwrap();
-        let scratch: Vec<u64> = (0..b.rows()).map(|r| row_hash(b.row(r))).collect();
+        let scratch = row_hashes(&b);
         assert_eq!(
             resolved.store_fingerprint(),
             zobrist_fold(&scratch),
@@ -551,8 +702,66 @@ mod tests {
     }
 
     #[test]
+    fn sign_of_zero_and_nan_payload_changes_are_dirty() {
+        // 8·2 + 3 columns: every lane position of a full chunk and a ragged tail.
+        let store = WeightStore::new(engine());
+        let cols = 19;
+        let mut a = Matrix::zeros(2, cols);
+        a.row_mut(1).fill(f32::from_bits(0x7FC0_0001));
+        store.register("w", a.clone(), cfg()).unwrap();
+        let mut current = a;
+        for col in 0..cols {
+            let mut flipped = current.clone();
+            flipped[(0, col)] = -flipped[(0, col)];
+            let report = store.push("w", flipped.clone()).unwrap();
+            assert_eq!(report.dirty_rows, 1, "0.0 -> -0.0 at column {col}");
+            let mut payload = flipped.clone();
+            payload[(1, col)] = f32::from_bits(0x7FC0_0100 + col as u32);
+            let report = store.push("w", payload.clone()).unwrap();
+            assert_eq!(report.dirty_rows, 1, "NaN payload at column {col}");
+            current = payload;
+        }
+    }
+
+    #[test]
+    fn band_terms_run_the_whole_operands_backends() {
+        // The six BERT encoder shapes at their pruning levels and configurations, and a
+        // narrow operand whose 64x64 bands alone would fall in the small-shape bucket.
+        let layers: [(usize, usize, f64, &str); 7] = [
+            (768, 768, 0.77, "4:8"),
+            (768, 768, 0.88, "2:8+1:8"),
+            (768, 768, 0.88, "2:8+1:8"),
+            (768, 768, 0.88, "2:8+1:8"),
+            (3072, 768, 0.91, "2:8+1:8"),
+            (768, 3072, 0.92, "2:8"),
+            (1024, 64, 0.9, "2:8+1:8"),
+        ];
+        let engine = engine();
+        let store = WeightStore::new(Arc::clone(&engine));
+        let mut gen = MatrixGenerator::seeded(18);
+        for (i, (rows, cols, sparsity, config)) in layers.into_iter().enumerate() {
+            let a = Arc::new(gen.magnitude_pruned(rows, cols, sparsity));
+            let config = TasdConfig::parse(config).unwrap();
+            store
+                .register(&i.to_string(), Arc::clone(&a), config.clone())
+                .unwrap();
+            let whole = engine.prepare_shared(&a, &config);
+            let generation = store.resolve(&i.to_string()).unwrap();
+            for (b, band) in generation.bands().iter().enumerate() {
+                for (t, term) in band.terms().iter().enumerate() {
+                    assert_eq!(
+                        term.backend(),
+                        whole.terms()[t].backend(),
+                        "layer {i} band {b} term {t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn push_errors_leave_the_store_untouched() {
-        let engine = sharded_engine();
+        let engine = engine();
         let store = WeightStore::new(engine);
         let a = MatrixGenerator::seeded(15).sparse_normal(32, 16, 0.5);
         assert!(matches!(
@@ -571,6 +780,7 @@ mod tests {
 
     #[test]
     fn unsharded_engines_deploy_as_one_shard() {
+        // An operand of at most BAND_ROWS rows is one band.
         let engine = Arc::new(ExecutionEngine::builder().workers(1).build());
         let store = WeightStore::new(engine);
         let a = MatrixGenerator::seeded(16).sparse_normal(32, 16, 0.5);
@@ -582,6 +792,6 @@ mod tests {
         let report = store.push("w", b).unwrap();
         assert_eq!(report.dirty_shards, 1);
         assert_eq!(report.total_shards, 1);
-        assert_eq!(report.prepares, 1, "whole operand re-prepares unsharded");
+        assert_eq!(report.prepares, 1, "the one band re-prepares");
     }
 }

@@ -4,10 +4,11 @@
 //! ([`EngineBuilder::workers`](super::EngineBuilder::workers) or the available
 //! parallelism at build time), the pool threads are spawned **once** (lazily, on the
 //! first parallel job), and every parallel job in the engine — the row tiles of large
-//! GEMMs and shard executions, from any number of concurrent callers — drains through
-//! the **same** queue. N concurrent callers therefore share one pool instead of each
-//! spawning threads per call: placement changes under load, results never do (jobs are
-//! independent by construction — each writes its own disjoint output slab).
+//! GEMMs and the band runs of named operands, from any number of concurrent callers —
+//! drains through the **same** queue. N concurrent callers therefore share one pool
+//! instead of each spawning threads per call: placement changes under load, results
+//! never do (jobs are independent by construction — each writes its own disjoint output
+//! slab).
 //!
 //! # Execution model
 //!
@@ -20,7 +21,7 @@
 //!   works. Inductively, every enqueued job is eventually run by a pool thread or a
 //!   helping caller.
 //! * **No oversubscription.** The pool holds `workers − 1` resident threads; the caller
-//!   is the missing worker. A single tiled or sharded GEMM thus computes on exactly
+//!   is the missing worker. A single tiled or banded GEMM thus computes on exactly
 //!   `workers` threads, and concurrent batches *share* those threads instead of each
 //!   spawning their own.
 //!

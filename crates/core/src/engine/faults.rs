@@ -17,8 +17,8 @@
 //!   [`EngineBuilder::backend`](super::EngineBuilder::backend); wrap the *same* inner
 //!   backend with an empty plan to build the fault-free bitwise reference.
 //! * Engine **failpoints**: [`EngineBuilder::fault_plan`](super::EngineBuilder::fault_plan)
-//!   attaches a plan the engine consults at [`FaultSite::Decompose`] (entering an
-//!   uncached decomposition) and the serving dispatcher at [`FaultSite::WindowDispatch`]
+//!   attaches a plan the engine consults at [`FaultSite::Decompose`] (entering a
+//!   decomposition: an inline operand's cache miss or a deploy's band) and the serving dispatcher at [`FaultSite::WindowDispatch`]
 //!   (a window handed to the batch executor). At these infallible sites a
 //!   [`FaultKind::TransientError`] escalates to a panic, which the same per-request
 //!   isolation path contains.
@@ -54,7 +54,8 @@ pub enum FaultSite {
     /// One whole-operand kernel entry of a [`FaultyBackend`] (`gemm_into` or
     /// `gemm_multi_into`).
     Gemm,
-    /// The engine entering an uncached decomposition (`prepare_uncached`).
+    /// The engine entering a decomposition: an inline operand's cache miss, or a band a
+    /// deploy prepares.
     Decompose,
     /// The serving dispatcher handing a closed window to the batch executor.
     WindowDispatch,
@@ -293,10 +294,9 @@ impl GemmBackend for FaultyBackend {
 }
 
 /// A [`GemmBackend`] decorator that holds kernels on a latch the test releases: each
-/// whole-operand kernel entry (`gemm_into` / `gemm_multi_into`) marks the latch as
-/// started, blocks until [`release`](Self::release), then delegates to the wrapped
-/// backend. Row-block sub-calls (`gemm_rows_into`) delegate without blocking, as in
-/// [`FaultyBackend`].
+/// kernel entry (`gemm_into`, `gemm_multi_into`, and the row-block `gemm_rows_into`
+/// that tiled GEMMs and a generation's bands run through) marks the latch as started,
+/// blocks until [`release`](Self::release), then delegates to the wrapped backend.
 ///
 /// With [`wait_started`](Self::wait_started), a test knows a window is executing — not
 /// merely that it probably started — so what arrives meanwhile, and which window it
@@ -372,6 +372,7 @@ impl GemmBackend for LatchedBackend {
         c_rows: &mut [f32],
         n_cols: usize,
     ) {
+        self.enter();
         self.inner.gemm_rows_into(lhs, b, r0, r1, c_rows, n_cols);
     }
 

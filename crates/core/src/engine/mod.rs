@@ -17,9 +17,10 @@
 //!    same tensor skip the greedy extraction *and* the format packing entirely.
 //! 4. **Execution** — run every term through the [`GemmBackend`] trait; no caller
 //!    dispatches to a format-specific kernel directly. Parallel work — the row tiles of
-//!    a large GEMM and row shards, from any number of concurrent callers — runs on the
-//!    engine's **one shared executor**, a worker pool sized once at build time
-//!    ([`EngineBuilder::workers`]): nothing in the engine spawns threads per call.
+//!    a large GEMM and the band runs of a named operand, from any number of concurrent
+//!    callers — runs on the engine's **one shared executor**, a worker pool sized once
+//!    at build time ([`EngineBuilder::workers`]): nothing in the engine spawns threads
+//!    per call.
 //! 5. **Serving** — [`ServingEngine`] (from [`EngineBuilder::serving`]) is the
 //!    session-based front-end: callers [`enqueue`](ServingEngine::enqueue) requests and
 //!    collect [`ResponseHandle`]s while a micro-batch window coalesces in-flight
@@ -98,13 +99,13 @@
 //! documented in `engine/serving.rs`.
 //!
 //! **The executor-placement guarantee.** Every parallel job — the row tiles of a large
-//! GEMM, every shard job, from every window and every caller — runs on the engine's one
-//! shared executor: a pool sized **once** at build time ([`EngineBuilder::workers`],
+//! GEMM, every run of bands, from every window and every caller — runs on the engine's
+//! one shared executor: a pool sized **once** at build time ([`EngineBuilder::workers`],
 //! default: available parallelism) and spawned **once** (lazily;
 //! [`ExecutionEngine::pool_threads`] proves it), so N concurrent serving threads,
-//! sessions, or sharded batches share `workers` threads instead of spawning their own.
-//! Placement under load changes *when and where* a tile or shard executes, never its
-//! result: tiles and shards write disjoint output slabs, each output row accumulates its
+//! sessions, or banded batches share `workers` threads instead of spawning their own.
+//! Placement under load changes *when and where* a tile or band executes, never its
+//! result: tiles and bands write disjoint output slabs, each output row accumulates its
 //! terms in the same order however the rows are split, and groups execute bitwise
 //! identically to per-request calls — so serving answers are independent of window
 //! composition, admission order, and thread placement.
@@ -134,47 +135,32 @@
 //!   shortest-plan-first. This bounds the queue delay a huge GEMM can impose on cheap
 //!   requests *and* the starvation a cheap stream can impose on a huge GEMM.
 //!
-//! # Sharding: row-split execution of oversized operands
+//! # Bands: the prepared form of named operands
 //!
-//! Very large operands split into **row shards** executed by independent prepared
-//! series: each shard gets its own TASD decomposition, plan, and packed formats, and the
-//! shards run as jobs on the engine's shared executor, writing disjoint row ranges of
-//! one shared output ([`shard`] module). Because both the greedy decomposition and every
-//! kernel are row-local, sharded execution is **bitwise identical** to unsharded
-//! execution — at any shard count, under any policy, on every backend, on any worker
-//! placement.
+//! A named operand ([`WeightStore`]) is prepared once, at deploy, as fixed
+//! [`BAND_ROWS`]-row **bands**: each band is its own [`PreparedSeries`], owned by the
+//! [`Generation`] rather than the cache. Requests built by [`Generation::request`] carry
+//! the bands, so [`submit`](ExecutionEngine::submit) groups them by generation and never
+//! fingerprints or looks them up. A banded group runs under the same tiling rule as a
+//! whole operand's plan: above `MIN_TILED_MACS` each executor worker takes one
+//! contiguous run of bands, writing its disjoint rows of the output through the
+//! backends' row-range kernel `gemm_rows_into`; below it the bands run in order on the
+//! calling thread.
 //!
-//! * **Opting in.** Implicitly: [`EngineBuilder::shard_policy`] +
-//!   [`EngineBuilder::shard_min_rows`] make [`submit`](ExecutionEngine::submit) and the
-//!   serving warmup ([`warm_serving_operand`](ExecutionEngine::warm_serving_operand),
-//!   used by `Mlp::prepare_serving`) route oversized decomposed groups through shards.
-//!   Explicitly: [`prepare_sharded`](ExecutionEngine::prepare_sharded) and
-//!   [`series_gemm_sharded`](ExecutionEngine::series_gemm_sharded) shard whatever they
-//!   are handed, under the policy passed in.
-//! * **Choosing a [`ShardPolicy`].** [`ShardPolicy::TargetShards`] (rows split evenly,
-//!   usually one or two shards per worker) is the default choice for uniformly sparse
-//!   operands. [`ShardPolicy::NnzBalanced`] splits on *stored non-zeros* instead and is
-//!   the right policy when sparsity is skewed (e.g. a dense band inside a pruned
-//!   weight) — it also lets dense row bands plan onto the dense kernel while sparse
-//!   bands stay on CSR, a per-shard refinement of the [`BackendTable`].
-//!   [`ShardPolicy::FixedRows`] pins the shard size directly (useful to match a
-//!   hardware tile or cache footprint).
-//! * **Cache sizing with shards.** Each shard is a first-class [`DecompositionCache`]
-//!   entry keyed by the *shard's* content fingerprint, so a sharded operand occupies
-//!   `#shards` entries (their summed bytes ≈ the unsharded entry's bytes; the cache
-//!   dedupes storage shared between entries by allocation, so aliased entries are never
-//!   double-counted in `bytes_resident`). Budget `cache_capacity ≥ Σ per-operand shard
-//!   counts` over the serving working set, and re-run the telemetry recipe below after
-//!   enabling sharding — evictions that appear only with sharding on mean the capacity
-//!   was sized for whole-matrix entries.
-//! * **When sharding loses.** Below a few hundred rows the per-shard fixed costs
-//!   (decomposition bookkeeping, plan + cache entries, thread handoff) outweigh the
-//!   parallel win — that is what `shard_min_rows` (default
-//!   [`DEFAULT_SHARD_MIN_ROWS`]) guards. Whole-matrix N:M execution also wins when the
-//!   operand is uniformly structured and already saturates one kernel pass (nothing to
-//!   rebalance), or when the machine is single-core (`benches/serving.rs` measures the
-//!   sharded-vs-unsharded ratio per machine). Sharding never changes results, so the
-//!   decision is purely a throughput one.
+//! Banded execution is **bitwise identical** to executing the whole operand's prepared
+//! series, twice over:
+//!
+//! * **Decomposition is row-local.** An N:M pattern constrains `M`-element blocks *along
+//!   each row*, and the greedy extraction keeps the top-`N` magnitudes per block of the
+//!   running residual — no information ever crosses a row boundary. A band's
+//!   decomposition is exactly the corresponding rows of the whole operand's, term for
+//!   term and entry for entry.
+//! * **Execution is row-local.** Each output row accumulates its stored entries in the
+//!   same ascending-column order whether a kernel sees the whole operand or one band,
+//!   and every band term is packed for the backend the whole operand's shape selects.
+//!
+//! `tests/banding.rs` locks this down across backends, sparsities, ragged and empty
+//! bands, and worker counts.
 //!
 //! # Sizing `cache_capacity` from telemetry
 //!
@@ -197,7 +183,8 @@
 //! 4. `bytes_resident` is the number to budget against host memory; per-batch, the same
 //!    figure is in [`BatchTelemetry::bytes_resident`]. Add the operand-fingerprint
 //!    memo's pinned operands (at most `fingerprint_memo_capacity` live matrices) to the
-//!    budget.
+//!    budget. Named operands' bands live in their generations, not the cache:
+//!    [`WeightStore::bytes_resident`] counts them together with the cache.
 //!
 //! # Failure semantics
 //!
@@ -245,33 +232,32 @@
 //!
 //! * **Generations** ([`WeightStore`]). Named operands resolve to immutable
 //!   [`Generation`] handles; a [`push`](WeightStore::push) re-hashes the new matrix
-//!   per row, diffs against the resident generation, re-prepares **only the row
-//!   shards containing dirty rows** (clean shards' content fingerprints are unchanged
-//!   → pure [`DecompositionCache`] hits), and installs the new generation under a
-//!   brief lock. The whole-operand store fingerprint is maintained zobrist-style —
-//!   XOR out dirty rows' old position-mixed hashes, XOR in the new — so it updates in
-//!   O(dirty rows). Swap semantics: [`resolve`](WeightStore::resolve) is a brief-lock
-//!   `Arc` clone, so *enqueue never blocks on a deploy*; in-flight requests keep the
-//!   `Arc<Matrix>` they captured at enqueue and finish **bitwise-correct on the old
-//!   version**, while every post-swap enqueue sees the new one. A deploy that fails
-//!   (shape mismatch, preparation panic) leaves the store untouched.
-//! * **Persistence** (`engine::persist`). [`save_snapshot`] serializes every resident
-//!   prepared series — packed terms, replayed per-term plans, fingerprints — to a
-//!   versioned, checksummed file (format spec in the module docs); [`load_snapshot`]
-//!   adopts entries back through the cache's dedicated seams, preserving
-//!   aliased-allocation byte accounting. Keys are *content* fingerprints, so a
-//!   restarted engine's first request against the same weights performs **zero
-//!   decompositions**. Invalidation is all-or-nothing per load: any defect (bad
-//!   magic, version skew, checksum mismatch, malformed entry) yields
-//!   [`LoadOutcome::Cold`] with a reason, the cache untouched — a stale or corrupt
-//!   snapshot can cost a cold start, never correctness. Snapshots do not invalidate
-//!   on config or shard-policy change either: mismatched keys simply never hit and
-//!   age out by LRU.
+//!   per row, diffs against the resident generation, decomposes **only the bands
+//!   holding dirty rows** (the clean bands' `Arc`s are shared with the new
+//!   generation), and installs the new generation under a brief lock. A superseded
+//!   band is freed when the last in-flight window holding it completes. The
+//!   whole-operand store fingerprint is maintained zobrist-style — XOR out dirty rows'
+//!   old position-mixed hashes, XOR in the new — so it updates in O(dirty rows). Swap
+//!   semantics: [`resolve`](WeightStore::resolve) is a brief-lock `Arc` clone, so
+//!   *enqueue never blocks on a deploy*; in-flight requests keep the bands they
+//!   captured at enqueue and finish **bitwise-correct on the old version**, while
+//!   every post-swap enqueue sees the new one. A deploy that fails (shape mismatch,
+//!   preparation panic) leaves the store untouched.
+//! * **Persistence** (`engine::persist`). [`save_snapshot`] serializes every live
+//!   operand of a store — name, configuration, shape, row hashes, and its bands'
+//!   packed terms with their replayed per-term plans — to a versioned, checksummed file
+//!   (format spec in the module docs); [`load_snapshot`] gives them back to a store as
+//!   the source `register` reuses bands from, so a restarted server re-registering the
+//!   same weights performs **zero decompositions**. Invalidation is all-or-nothing per
+//!   load: any defect (bad magic, version skew, checksum mismatch, malformed operand)
+//!   yields [`LoadOutcome::Cold`] with a reason, the store untouched — a stale or
+//!   corrupt snapshot can cost a cold start, never correctness. A register under a
+//!   different configuration or shape simply decomposes every band.
 //!
 //! `tasd-serve` exposes the lifecycle on the wire (`UpdateWeights` / `NamedRequest`
-//! frames; see `crates/serve/README.md`), and its `Stats` frame reports the store
-//! generation, resident cache bytes, and warm-start status so operators can verify a
-//! deploy landed.
+//! frames; see `crates/serve/README.md`) and on its command line (`--snapshot PATH`),
+//! and its `Stats` frame reports the store generation, resident prepared bytes, and
+//! warm-start status so operators can verify a deploy landed.
 //!
 //! # Enforced invariants
 //!
@@ -281,7 +267,7 @@
 //!
 //! * **No panics on the hot path.** Every serving-path function is marked
 //!   `// lint: hot-path` (the `submit`/serving spine here and in `batch`/`serving`/
-//!   `shard`/`executor`, plus the row kernels in `tasd-tensor`): `unwrap`/`expect`,
+//!   `executor`, plus the row kernels in `tasd-tensor`): `unwrap`/`expect`,
 //!   `panic!`-family macros, and unchecked slice indexing are rejected there unless
 //!   an inline `allow` states why the construct cannot fire. Shape errors must
 //!   surface as `Result`s at admission, never as panics mid-batch.
@@ -327,7 +313,6 @@ mod persist;
 mod plan;
 mod prepared;
 mod serving;
-mod shard;
 mod sync;
 
 pub use batch::{
@@ -336,17 +321,13 @@ pub use batch::{
 };
 pub use cache::{CacheEntryStats, CacheStats, DecompositionCache};
 pub use clock::{Clock, MockClock, MonotonicClock};
-pub use deploy::{DeployError, DeployReport, Generation, WeightStore};
+pub use deploy::{DeployError, DeployReport, Generation, WeightStore, BAND_ROWS};
 pub use dispatcher::DispatcherHandle;
 pub use faults::{FaultKind, FaultPlan, FaultRecord, FaultSite, FaultyBackend, LatchedBackend};
 pub use persist::{load_snapshot, save_snapshot, LoadOutcome, SnapshotStats};
 pub use plan::{BackendKind, BackendTable, MatmulPlan, TermPlan};
 pub use prepared::{PreparedSeries, PreparedTerm};
 pub use serving::{OverloadPolicy, ResponseHandle, ServingEngine, ServingStats, DEFAULT_MAX_BATCH};
-pub use shard::{
-    PreparedShard, ShardPolicy, ShardTelemetry, ShardedSeries, ShardedTelemetry,
-    DEFAULT_SHARD_MIN_ROWS,
-};
 
 use crate::config::TasdConfig;
 use crate::decompose::decompose;
@@ -395,8 +376,6 @@ pub struct EngineBuilder {
     bench_json: Option<std::path::PathBuf>,
     fairness_cap: usize,
     fingerprint_memo_capacity: usize,
-    shard_policy: Option<ShardPolicy>,
-    shard_min_rows: usize,
     workers: Option<usize>,
     faults: Option<Arc<FaultPlan>>,
 }
@@ -470,33 +449,11 @@ impl EngineBuilder {
         self
     }
 
-    /// Configures row sharding: operands with at least
-    /// [`shard_min_rows`](Self::shard_min_rows) rows are split under `policy`, prepared
-    /// shard by shard, and executed on the shard worker pool by
-    /// [`submit`](ExecutionEngine::submit) and the serving warmup path (see the
-    /// "Sharding" section of the [module docs](self)). Unset by default: no operand is
-    /// sharded implicitly. [`ExecutionEngine::prepare_sharded`] shards explicitly
-    /// regardless of this setting.
-    #[must_use]
-    pub fn shard_policy(mut self, policy: ShardPolicy) -> Self {
-        self.shard_policy = Some(policy);
-        self
-    }
-
-    /// Sets the row count at which a configured [`shard_policy`](Self::shard_policy)
-    /// starts to apply (default [`DEFAULT_SHARD_MIN_ROWS`]). Operands below it are
-    /// served unsharded; values below 2 are treated as 2 (a 1-row operand cannot
-    /// usefully shard).
-    #[must_use]
-    pub fn shard_min_rows(mut self, rows: usize) -> Self {
-        self.shard_min_rows = rows;
-        self
-    }
-
     /// Pins the engine's executor worker count (clamped to at least 1). This is the
     /// number of threads every parallel job in the engine — the row tiles of large
-    /// GEMMs and shard executions, from any number of concurrent callers — shares; it is
-    /// captured **once**, here, and never re-read from the environment on the hot path.
+    /// GEMMs and the band runs of named operands, from any number of concurrent callers
+    /// — shares; it is captured **once**, here, and never re-read from the environment
+    /// on the hot path.
     /// Defaults to the available parallelism at build time (`rayon::current_num_threads`,
     /// which honors `RAYON_NUM_THREADS`). `workers(1)` is the sequential engine: every
     /// kernel runs whole on the calling thread, in program order. Pin it explicitly for
@@ -539,9 +496,8 @@ impl EngineBuilder {
                     None => BackendTable::measured(),
                 }),
         };
-        // The worker count is captured once, here — never re-read per call (the old
-        // shard path's per-call `rayon::current_num_threads()` made placement depend on
-        // when a GEMM ran, and made every sharded call pay an environment probe).
+        // The worker count is captured once, here — never re-read per call, so
+        // placement never depends on when a GEMM runs.
         let workers = self.workers.unwrap_or_else(rayon::current_num_threads);
         ExecutionEngine {
             backend_override: self.backend,
@@ -552,12 +508,9 @@ impl EngineBuilder {
             ],
             backend_table,
             fairness_cap: self.fairness_cap,
-            shard_policy: self.shard_policy,
-            shard_min_rows: self.shard_min_rows,
             cache: Mutex::new(DecompositionCache::new(self.cache_capacity)),
             plans: Mutex::new(PlanMemo::default()),
             fingerprints: Mutex::new(FingerprintMemo::new(self.fingerprint_memo_capacity)),
-            shard_splits: Mutex::new(shard::ShardSplitMemo::default()),
             executor: executor::Executor::new(workers),
             counters: PrepCounters::default(),
             faults: self.faults,
@@ -574,8 +527,6 @@ impl Default for EngineBuilder {
             backend_table: None,
             fairness_cap: DEFAULT_FAIRNESS_CAP,
             fingerprint_memo_capacity: DEFAULT_FINGERPRINT_MEMO_CAPACITY,
-            shard_policy: None,
-            shard_min_rows: DEFAULT_SHARD_MIN_ROWS,
             bench_json: None,
             workers: None,
             faults: None,
@@ -729,15 +680,12 @@ pub struct ExecutionEngine {
     backends: [Arc<dyn GemmBackend>; 3],
     backend_table: BackendTable,
     fairness_cap: usize,
-    shard_policy: Option<ShardPolicy>,
-    shard_min_rows: usize,
     cache: Mutex<DecompositionCache>,
     plans: Mutex<PlanMemo>,
     fingerprints: Mutex<FingerprintMemo>,
-    shard_splits: Mutex<shard::ShardSplitMemo>,
-    /// The engine's one worker pool: every parallel job (GEMM row tiles and shard
-    /// executions, from every concurrent caller) drains through this queue — nothing
-    /// spawns per call.
+    /// The engine's one worker pool: every parallel job (GEMM row tiles and band runs,
+    /// from every concurrent caller) drains through this queue — nothing spawns per
+    /// call.
     executor: executor::Executor,
     counters: PrepCounters,
     /// Armed fault-injection plan ([`EngineBuilder::fault_plan`]); `None` in production.
@@ -1022,6 +970,11 @@ impl ExecutionEngine {
     /// [`prepare`](Self::prepare) with a precomputed fingerprint of `a`, also reporting
     /// whether *this* call was served from the cache — read atomically with the lookup,
     /// so concurrent traffic on the engine cannot misattribute it.
+    ///
+    /// On a miss, two threads racing on the same cold key both decompose; the result is
+    /// identical, the **first** insert wins, and the loser adopts the resident copy — so
+    /// concurrent serving traffic converges on one shared allocation per key instead of
+    /// churning the cache's byte accounting.
     pub(crate) fn prepare_with_fingerprint(
         &self,
         a: &Matrix,
@@ -1033,44 +986,48 @@ impl ExecutionEngine {
             shape: a.shape(),
             config: config.clone(),
         };
-        if let Some(hit) = self.lookup_prepared(&key) {
+        if let Some(hit) = lock_or_panic(&self.cache, "prepared cache").get(&key) {
             return (hit, true);
         }
-        (self.prepare_uncached(a, config, fingerprint), false)
+        let prepared = Arc::new(self.decompose_packed(a, config, fingerprint, a.shape()));
+        let prepared = lock_or_panic(&self.cache, "prepared cache").insert_or_get(key, prepared);
+        (prepared, false)
     }
 
-    /// One counted decomposition-cache lookup (a `None` is a recorded miss). The sharded
-    /// prepare path uses this directly so it can defer shard-row extraction to misses.
-    pub(crate) fn lookup_prepared(&self, key: &CacheKey) -> Option<Arc<PreparedSeries>> {
-        lock_or_panic(&self.cache, "prepared cache").get(key)
+    /// Decomposes rows `r0..r1` of `a` as one band of a named operand, packing every
+    /// term for the backend `a`'s whole shape selects (so a band of a large operand never
+    /// lands in the small-shape bucket). Never cached: the band belongs to the
+    /// generation that asked for it.
+    pub(crate) fn prepare_band(
+        &self,
+        a: &Matrix,
+        (r0, r1): (usize, usize),
+        config: &TasdConfig,
+        fingerprint: u64,
+    ) -> Arc<PreparedSeries> {
+        Arc::new(self.decompose_packed(&a.row_block(r0, r1), config, fingerprint, a.shape()))
     }
 
-    /// Decomposes, packs, and caches `a` without a prior lookup (the caller has already
-    /// missed). Two threads racing on the same cold key both decompose; the result is
-    /// identical, the **first** insert wins, and the loser adopts the resident copy —
-    /// so concurrent serving traffic converges on one shared allocation per key instead
-    /// of churning the cache's byte accounting.
-    pub(crate) fn prepare_uncached(
+    /// The engine's one decomposition site: trips the [`FaultSite::Decompose`]
+    /// failpoint, decomposes `a`, packs each term for the backend the table picks for
+    /// its density at `shape`, and counts the prepare and its conversions.
+    fn decompose_packed(
         &self,
         a: &Matrix,
         config: &TasdConfig,
         fingerprint: u64,
-    ) -> Arc<PreparedSeries> {
-        let key = CacheKey {
-            fingerprint,
-            shape: a.shape(),
-            config: config.clone(),
-        };
+        (rows, cols): (usize, usize),
+    ) -> PreparedSeries {
         self.failpoint(FaultSite::Decompose);
         let series = Arc::new(decompose(a, config));
-        let prepared = Arc::new(PreparedSeries::prepare(series, fingerprint, |d, r, c| {
-            self.kind_for_packed(d, r, c)
-        }));
+        let prepared = PreparedSeries::prepare(series, fingerprint, |d, _, _| {
+            self.kind_for_packed(d, rows, cols)
+        });
         self.counters.prepares.fetch_add(1, Ordering::Relaxed);
         self.counters
             .conversions
             .fetch_add(prepared.conversions(), Ordering::Relaxed);
-        lock_or_panic(&self.cache, "prepared cache").insert_or_get(key, prepared)
+        prepared
     }
 
     /// Decomposes `a` under `config`, returning a cached series when this (matrix,
@@ -1138,21 +1095,15 @@ impl ExecutionEngine {
         &self.backend_table
     }
 
-    /// The engine's shared executor (the shard path and any future parallel stage
-    /// schedule jobs through it).
-    pub(crate) fn executor(&self) -> &executor::Executor {
-        &self.executor
-    }
-
-    /// Drops every cached prepared decomposition, memoized plan, memoized operand
-    /// fingerprint, and memoized shard split (counters are preserved).
+    /// Drops every cached prepared decomposition, memoized plan, and memoized operand
+    /// fingerprint (counters are preserved). A [`WeightStore`]'s bands are not cached
+    /// and stay untouched.
     pub fn clear_cache(&self) {
         lock_or_panic(&self.cache, "prepared cache").clear();
         lock_or_panic(&self.plans, "plan memo").entries.clear();
         lock_or_panic(&self.fingerprints, "fingerprint memo")
             .entries
             .clear();
-        lock_or_panic(&self.shard_splits, "shard split memo").clear();
     }
 
     // ---- Execution ------------------------------------------------------------------
@@ -1179,10 +1130,10 @@ impl ExecutionEngine {
     /// operand `shape`-shaped: the one execution body of the prepared, raw-series, and
     /// dense paths. Untiled, every term enters its kernel whole through `gemm_into`. A
     /// `tiled` plan instead gives each executor worker one contiguous block of output
-    /// rows and runs every term of that block through `gemm_rows_into` in a single
-    /// [`run_all`](executor::Executor::run_all) job, as `execute_shard` does for shards.
-    /// Each output row accumulates the same terms in the same order either way, so
-    /// tiling never changes a bit.
+    /// rows and runs every term of that block through `gemm_rows_into`, as
+    /// [`gemm_bands_into`](Self::gemm_bands_into) does for runs of bands. Each output row
+    /// accumulates the same terms in the same order either way, so tiling never changes
+    /// a bit.
     // lint: hot-path, warm-path
     fn gemm_terms_into<'t, I>(
         &self,
@@ -1208,23 +1159,99 @@ impl ExecutionEngine {
             }
             return Ok(());
         }
-        let rows = m.div_ceil(tiles);
         let tile = |r0: usize, slab: &mut [f32]| {
             for (backend, operand) in terms() {
                 backend.gemm_rows_into(operand, b, r0, r0 + slab.len() / n_cols, slab, n_cols);
             }
         };
-        let tile = &tile;
-        // lint: allow(alloc): the job list of a tiled GEMM; with one boxed job per worker
-        // below, it is all a tiled call allocates — per-kernel threading paid a chunk
-        // vector and a thread spawn per block on every call instead
-        let mut jobs: Vec<Job> = Vec::with_capacity(tiles);
-        for (i, slab) in c.rows_slice_mut(0, m).chunks_mut(rows * n_cols).enumerate() {
-            // lint: allow(alloc): one boxed job per worker (see the job list above)
-            jobs.push(Box::new(move || tile(i * rows, slab)));
+        self.run_row_slabs(c, m.div_ceil(tiles), &tile);
+        Ok(())
+    }
+
+    /// Executes `C += A·B` for a `shape`-shaped operand prepared as `bands` (band `i`
+    /// holding rows `i·BAND_ROWS..`): every band's terms run through their packed
+    /// backends' `gemm_rows_into` into the band's rows of `C`. Under the same rule as a
+    /// whole operand's plan (`MIN_TILED_MACS` estimated MACs and more than one worker)
+    /// each executor worker takes one contiguous run of bands; otherwise the bands run
+    /// in order on the calling thread. Bitwise identical to executing the whole
+    /// operand's prepared series (see the "Bands" section of the [module docs](self)).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::ShapeMismatch`] on inconsistent shapes.
+    // lint: hot-path, warm-path
+    pub(crate) fn gemm_bands_into(
+        &self,
+        shape: (usize, usize),
+        bands: &[Arc<PreparedSeries>],
+        b: &Matrix,
+        c: &mut Matrix,
+    ) -> Result<()> {
+        Self::check_shapes(shape, b, c)?;
+        let n_cols = b.cols();
+        if n_cols == 0 {
+            return Ok(());
+        }
+        let nnz: u64 = bands.iter().map(|band| band.nnz() as u64).sum();
+        let workers = self.executor.workers();
+        let runs = if workers > 1 && nnz * n_cols_bucket(n_cols) as u64 >= MIN_TILED_MACS {
+            workers.min(bands.len())
+        } else {
+            1
+        };
+        let run = |r0: usize, slab: &mut [f32]| {
+            let band_slabs = slab.chunks_mut(BAND_ROWS * n_cols);
+            for (band, band_slab) in bands.iter().skip(r0 / BAND_ROWS).zip(band_slabs) {
+                self.run_band(band, b, band_slab, n_cols);
+            }
+        };
+        if runs < 2 {
+            run(0, c.rows_slice_mut(0, shape.0));
+        } else {
+            self.run_row_slabs(c, bands.len().div_ceil(runs) * BAND_ROWS, &run);
+        }
+        Ok(())
+    }
+
+    /// Runs one band's terms through their packed backends into the band's output slab.
+    // lint: hot-path, warm-path
+    fn run_band(&self, band: &PreparedSeries, b: &Matrix, slab: &mut [f32], n_cols: usize) {
+        let rows = slab.len() / n_cols;
+        for (i, term) in band.terms().iter().enumerate() {
+            self.backend_for_kind(term.backend()).gemm_rows_into(
+                band.operand(i),
+                b,
+                0,
+                rows,
+                slab,
+                n_cols,
+            );
+        }
+    }
+
+    /// Runs `job(r0, slab)` over `c`'s rows in consecutive slabs of `slab_rows` rows (the
+    /// last ragged), one [`run_all`](executor::Executor::run_all) job per slab.
+    // lint: hot-path, warm-path
+    fn run_row_slabs(
+        &self,
+        c: &mut Matrix,
+        slab_rows: usize,
+        job: &(dyn Fn(usize, &mut [f32]) + Sync),
+    ) {
+        let (m, n_cols) = c.shape();
+        // lint: allow(alloc): the job list of a parallel matmul; with one boxed job per
+        // slab below, it is all a tiled call allocates — per-kernel threading paid a
+        // chunk vector and a thread spawn per block on every call instead
+        let mut jobs: Vec<Job> = Vec::with_capacity(m.div_ceil(slab_rows));
+        for (i, slab) in c
+            .rows_slice_mut(0, m)
+            .chunks_mut(slab_rows * n_cols)
+            .enumerate()
+        {
+            // lint: allow(alloc): one boxed job per slab (see the job list above)
+            jobs.push(Box::new(move || job(i * slab_rows, slab)));
         }
         self.executor.run_all(jobs);
-        Ok(())
     }
 
     /// Executes `C += Σᵢ Aᵢ·B` term by term through the planned backends, from the raw

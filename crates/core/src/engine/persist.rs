@@ -1,100 +1,91 @@
-//! Prepared-cache persistence: snapshot the decomposition cache to a file, reload it
-//! at startup, and serve the first request of a restarted process with **zero**
-//! decompositions.
+//! Weight-store persistence: snapshot a store's prepared operands to a file, reload
+//! them at startup, and re-register the same weights with **zero** decompositions.
 //!
-//! Preparation (fingerprint → decompose → plan → pack) is the expensive half of the
-//! TASD economics; the [`DecompositionCache`] already makes it once-per-weights within
-//! a process. This module extends that across restarts: [`save_snapshot`] serializes
-//! every resident entry, [`load_snapshot`] adopts them back (through the cache's
-//! [`persistable_entries`](DecompositionCache::persistable_entries) /
-//! [`adopt_entry`](DecompositionCache::adopt_entry) seams — persistence never touches
-//! cache internals), and because entries are keyed by *content* fingerprint, a
-//! restarted engine's first `prepare` of the same weights is a pure cache hit.
+//! Preparation (decompose → plan → pack) is the expensive half of the TASD economics;
+//! a [`WeightStore`] already makes it once per changed band within a process. This
+//! module extends that across restarts: [`save_snapshot`] serializes every live
+//! operand's name, configuration, shape, row hashes and bands, and [`load_snapshot`]
+//! hands them back to a store as the source its `register` reuses bands from. A
+//! restored operand is not resolvable until its weights are registered again — the
+//! snapshot holds prepared state, not weights — and a register of the same name,
+//! configuration and shape shares every band whose rows hash as they did at save time.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! Little-endian throughout:
 //!
 //! ```text
 //! magic            8 bytes  "TASDCACH"
-//! version          u32      1
-//! series count     u32      unique prepared-series allocations
-//! per series:
-//!   fingerprint    u64      content fingerprint the series was prepared under
-//!   rows, cols     u32,u32  decomposed shape
+//! version          u32      2
+//! operand count    u32
+//! per operand:
+//!   name           u16 len + UTF-8
 //!   config         u16 len + UTF-8, `TasdConfig` notation (e.g. "2:8+1:8")
-//!   term count     u16
-//!   per term:
-//!     backend      u8       planned kernel: 0 dense, 1 csr, 2 n:m
-//!     pattern      u8,u8    the term's N:M pattern (n, m)
-//!     entry count  u64
-//!     entries      (row u32, col u32, f32 bits u32) × count, row-major order
-//! entry count      u32      cache entries (≥ series count: keys may alias a series)
-//! per entry:
-//!   fingerprint    u64      cache-key fingerprint (shard fingerprint for shard keys)
-//!   rows, cols     u32,u32  cache-key shape
-//!   config         u16 len + UTF-8
-//!   series index   u32      into the series table
+//!   rows, cols     u32,u32  the operand's shape
+//!   row hashes     u64 × rows
+//!   per band (⌈rows / 64⌉ of them; band i holds rows 64·i .. min(64·(i+1), rows)):
+//!     term count   u16
+//!     per term:
+//!       backend      u8       planned kernel: 0 dense, 1 csr, 2 n:m
+//!       pattern      u8,u8    the term's N:M pattern (n, m)
+//!       entry count  u64
+//!       entries      (row u32, col u32, f32 bits u32) × count, row-major, band-local
 //! checksum         u64      multiply-xor fold of every preceding byte
 //! ```
 //!
-//! Series are stored once and referenced by index, so two cache keys aliasing one
-//! allocation (e.g. a single-shard split resolving to its parent's series) still alias
-//! after a restart and `bytes_resident` dedup accounting is preserved. The per-term
-//! backend byte replays the plan: reloaded terms are re-packed for the *recorded*
-//! kernel, skipping the planner entirely — a snapshot carries terms, plans, and
-//! fingerprints, the full prepare-time state.
+//! The term encoding is version 1's. The per-term backend byte replays the plan:
+//! reloaded terms are re-packed for the *recorded* kernel, skipping the planner
+//! entirely. Version 1 files (prepared-cache snapshots) load as a clean cold start.
 //!
 //! # Invalidation
 //!
 //! Loading is strictly best-effort: **any** defect — missing file, short read, bad
-//! magic, unknown version, checksum mismatch, malformed config/pattern/term,
-//! out-of-bounds index, trailing bytes — yields [`LoadOutcome::Cold`] with a reason
-//! and leaves the cache exactly as it was. A cold start costs one decomposition per
-//! operand, never correctness. Snapshots are written to a sibling temp file and
-//! renamed into place, so a crash mid-save cannot tear an existing snapshot.
+//! magic, unknown version, checksum mismatch, malformed name/config/pattern/term,
+//! out-of-bounds entry, trailing bytes — yields [`LoadOutcome::Cold`] with a reason
+//! and leaves the store exactly as it was. A cold start costs one decomposition per
+//! band, never correctness. Snapshots are written to a sibling temp file and renamed
+//! into place, so a crash mid-save cannot tear an existing snapshot.
 
-use super::cache::CacheKey;
+use super::deploy::{band_ranges, zobrist_fold, SavedOperand};
 use super::plan::BackendKind;
 use super::prepared::PreparedSeries;
-use super::sync::lock_or_panic;
-use super::ExecutionEngine;
+use super::WeightStore;
 use crate::config::TasdConfig;
 use crate::series::TasdSeries;
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
+use tasd_tensor::hash::avalanche;
 use tasd_tensor::{Matrix, NmPattern};
 
 const MAGIC: [u8; 8] = *b"TASDCACH";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// What [`save_snapshot`] wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// Cache entries serialized.
-    pub entries: usize,
-    /// Unique prepared-series allocations serialized (≤ `entries` when keys alias).
-    pub series: usize,
+    /// Operands serialized.
+    pub operands: usize,
+    /// Bands serialized, across every operand.
+    pub bands: usize,
     /// Snapshot size on disk, in bytes.
     pub bytes: usize,
 }
 
-/// How [`load_snapshot`] started the engine.
+/// How [`load_snapshot`] started the store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LoadOutcome {
-    /// The snapshot was intact; every entry was adopted into the cache. Requests
-    /// against the snapshotted weights now hit without decomposing.
+    /// The snapshot was intact; every operand was handed to the store. Registering the
+    /// snapshotted weights again now decomposes nothing.
     Warm {
-        /// Cache entries adopted.
-        entries: usize,
+        /// Operands restored.
+        operands: usize,
         /// Snapshot size read, in bytes.
         bytes: usize,
     },
-    /// The snapshot was absent or defective; the cache was left untouched and the
-    /// engine decomposes on first use as usual.
+    /// The snapshot was absent or defective; the store was left untouched and
+    /// registers decompose as usual.
     Cold {
         /// What was wrong — for logs, never for control flow.
         reason: String,
@@ -108,36 +99,32 @@ impl LoadOutcome {
     }
 }
 
-/// Serializes every resident prepared series of `engine`'s decomposition cache to
-/// `path` (temp file + rename, so an existing snapshot is never torn). See the
-/// [module docs](self) for the format.
+/// Serializes every live operand of `store` — and every restored one not registered
+/// since — to `path` (temp file + rename, so an existing snapshot is never torn). See
+/// the [module docs](self) for the format.
 ///
 /// # Errors
 ///
-/// I/O errors from writing, plus `InvalidInput` for entries the format cannot carry
-/// (dimensions beyond `u32`, configs beyond `u16` bytes — unreachable with the
-/// engine's own limits).
-pub fn save_snapshot(engine: &ExecutionEngine, path: &Path) -> io::Result<SnapshotStats> {
-    let entries = lock_or_panic(&engine.cache, "prepared cache").persistable_entries();
-    let bytes = encode_entries(&entries)?;
-    let series = unique_series(&entries);
+/// I/O errors from writing, plus `InvalidInput` for operands the format cannot carry
+/// (dimensions beyond `u32`, names or configs beyond `u16` bytes).
+pub fn save_snapshot(store: &WeightStore, path: &Path) -> io::Result<SnapshotStats> {
+    let operands = store.saved_operands();
+    let bytes = encode_operands(&operands)?;
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, &bytes)?;
     std::fs::rename(&tmp, path)?;
     Ok(SnapshotStats {
-        entries: entries.len(),
-        series,
+        operands: operands.len(),
+        bands: operands.iter().map(|o| o.bands.len()).sum(),
         bytes: bytes.len(),
     })
 }
 
-/// Loads a snapshot written by [`save_snapshot`] and adopts every entry into
-/// `engine`'s decomposition cache. Infallible by design: defects yield
+/// Loads a snapshot written by [`save_snapshot`] and hands every operand to `store` as
+/// a source `register` reuses bands from. Infallible by design: defects yield
 /// [`LoadOutcome::Cold`] (see the [module docs](self) invalidation rules), never an
-/// error and never a panic. Adoption respects the cache's capacity and
-/// first-insert-wins semantics — a capacity-0 cache stays a pass-through, and entries
-/// the running engine already resolved are not displaced.
-pub fn load_snapshot(engine: &ExecutionEngine, path: &Path) -> LoadOutcome {
+/// error and never a panic. A name the store already serves keeps its live generation.
+pub fn load_snapshot(store: &WeightStore, path: &Path) -> LoadOutcome {
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(err) => {
@@ -146,29 +133,16 @@ pub fn load_snapshot(engine: &ExecutionEngine, path: &Path) -> LoadOutcome {
             }
         }
     };
-    let entries = match decode_entries(&bytes) {
-        Ok(entries) => entries,
+    let operands = match decode_operands(&bytes) {
+        Ok(operands) => operands,
         Err(reason) => return LoadOutcome::Cold { reason },
     };
-    let count = entries.len();
-    let mut cache = lock_or_panic(&engine.cache, "prepared cache");
-    for (key, prepared) in entries {
-        cache.adopt_entry(key, prepared);
-    }
+    let count = operands.len();
+    store.restore(operands);
     LoadOutcome::Warm {
-        entries: count,
+        operands: count,
         bytes: bytes.len(),
     }
-}
-
-fn unique_series(entries: &[(CacheKey, Arc<PreparedSeries>)]) -> usize {
-    let mut seen: Vec<usize> = entries
-        .iter()
-        .map(|(_, p)| Arc::as_ptr(p) as usize)
-        .collect();
-    seen.sort_unstable();
-    seen.dedup();
-    seen.len()
 }
 
 /// Multiply-xor fold of `bytes` (8-byte chunks, zero-padded tail), finalized with the
@@ -181,12 +155,7 @@ fn checksum(bytes: &[u8]) -> u64 {
         lane[..chunk.len()].copy_from_slice(chunk);
         h = (h ^ u64::from_le_bytes(lane)).wrapping_mul(M);
     }
-    let mut x = h;
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    avalanche(h)
 }
 
 fn backend_byte(kind: BackendKind) -> u8 {
@@ -239,57 +208,42 @@ impl Enc {
     }
 }
 
-/// Encodes `entries` into the version-1 snapshot format (checksum included). The
+/// Encodes `operands` into the version-2 snapshot format (checksum included). The
 /// in-memory half of [`save_snapshot`], split out so tests can corrupt and re-decode
 /// without a filesystem.
-pub(crate) fn encode_entries(entries: &[(CacheKey, Arc<PreparedSeries>)]) -> io::Result<Vec<u8>> {
-    // Deduplicate series by allocation so aliased keys keep aliasing after a reload.
-    let mut index_of: HashMap<usize, u32> = HashMap::new();
-    let mut series: Vec<&Arc<PreparedSeries>> = Vec::new();
-    for (_, prepared) in entries {
-        index_of
-            .entry(Arc::as_ptr(prepared) as usize)
-            .or_insert_with(|| {
-                series.push(prepared);
-                (series.len() - 1) as u32
-            });
-    }
-
+pub(crate) fn encode_operands(operands: &[Arc<SavedOperand>]) -> io::Result<Vec<u8>> {
     let mut enc = Enc { buf: Vec::new() };
     enc.buf.extend_from_slice(&MAGIC);
     enc.u32(VERSION);
-    enc.u32(series.len() as u32);
-    for prepared in &series {
-        let (rows, cols) = prepared.shape();
-        enc.u64(prepared.fingerprint());
-        enc.dim(rows, "series rows")?;
-        enc.dim(cols, "series cols")?;
-        enc.str16(&prepared.series().config().to_string(), "series config")?;
-        let n_terms = u16::try_from(prepared.terms().len())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "term count > u16"))?;
-        enc.u16(n_terms);
-        for (i, term) in prepared.series().terms().iter().enumerate() {
-            enc.u8(backend_byte(prepared.terms()[i].backend()));
-            let pattern = term.pattern();
-            enc.u8(pattern.n() as u8);
-            enc.u8(pattern.m() as u8);
-            enc.u64(term.nnz() as u64);
-            for row in 0..rows {
-                for (col, value) in term.row_entries(row) {
-                    enc.dim(row, "entry row")?;
-                    enc.dim(col, "entry col")?;
-                    enc.u32(value.to_bits());
+    enc.dim(operands.len(), "operand count")?;
+    for operand in operands {
+        let (rows, cols) = operand.shape;
+        enc.str16(&operand.name, "operand name")?;
+        enc.str16(&operand.config.to_string(), "operand config")?;
+        enc.dim(rows, "operand rows")?;
+        enc.dim(cols, "operand cols")?;
+        for &hash in &operand.row_hashes {
+            enc.u64(hash);
+        }
+        for band in &operand.bands {
+            let n_terms = u16::try_from(band.terms().len())
+                .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "term count > u16"))?;
+            enc.u16(n_terms);
+            for (i, term) in band.series().terms().iter().enumerate() {
+                enc.u8(backend_byte(band.terms()[i].backend()));
+                let pattern = term.pattern();
+                enc.u8(pattern.n() as u8);
+                enc.u8(pattern.m() as u8);
+                enc.u64(term.nnz() as u64);
+                for row in 0..band.shape().0 {
+                    for (col, value) in term.row_entries(row) {
+                        enc.dim(row, "entry row")?;
+                        enc.dim(col, "entry col")?;
+                        enc.u32(value.to_bits());
+                    }
                 }
             }
         }
-    }
-    enc.u32(entries.len() as u32);
-    for (key, prepared) in entries {
-        enc.u64(key.fingerprint);
-        enc.dim(key.shape.0, "key rows")?;
-        enc.dim(key.shape.1, "key cols")?;
-        enc.str16(&key.config.to_string(), "key config")?;
-        enc.u32(index_of[&(Arc::as_ptr(prepared) as usize)]);
     }
     let sum = checksum(&enc.buf);
     enc.u64(sum);
@@ -335,11 +289,11 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Decodes a version-1 snapshot back into adoptable `(key, prepared)` entries, fully
-/// re-validated: checksum first, then every structural invariant (see the [module
-/// docs](self) invalidation rules). The returned `Arc`s preserve the on-disk aliasing.
-pub(crate) fn decode_entries(bytes: &[u8]) -> Result<Vec<(CacheKey, Arc<PreparedSeries>)>, String> {
-    if bytes.len() < MAGIC.len() + 4 + 4 + 4 + 8 {
+/// Decodes a version-2 snapshot back into operands, fully re-validated: checksum
+/// first, then every structural invariant (see the [module docs](self) invalidation
+/// rules).
+pub(crate) fn decode_operands(bytes: &[u8]) -> Result<Vec<SavedOperand>, String> {
+    if bytes.len() < MAGIC.len() + 4 + 4 + 8 {
         return Err(format!("snapshot too short: {} bytes", bytes.len()));
     }
     let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
@@ -352,7 +306,7 @@ pub(crate) fn decode_entries(bytes: &[u8]) -> Result<Vec<(CacheKey, Arc<Prepared
     }
     let mut dec = Dec { rest: body };
     if dec.take(MAGIC.len(), "magic")? != MAGIC {
-        return Err("snapshot: bad magic (not a TASD cache snapshot)".to_string());
+        return Err("snapshot: bad magic (not a TASD snapshot)".to_string());
     }
     let version = dec.u32("version")?;
     if version != VERSION {
@@ -361,93 +315,97 @@ pub(crate) fn decode_entries(bytes: &[u8]) -> Result<Vec<(CacheKey, Arc<Prepared
         ));
     }
 
-    let series_count = dec.u32("series count")? as usize;
-    let mut series: Vec<Arc<PreparedSeries>> = Vec::with_capacity(series_count.min(1024));
-    for s in 0..series_count {
-        let fingerprint = dec.u64("series fingerprint")?;
-        let rows = dec.u32("series rows")? as usize;
-        let cols = dec.u32("series cols")? as usize;
+    let operand_count = dec.u32("operand count")? as usize;
+    let mut operands = Vec::with_capacity(operand_count.min(1024));
+    for o in 0..operand_count {
+        let name = dec.str16("operand name")?.to_string();
+        let config = dec.config("operand config")?;
+        let rows = dec.u32("operand rows")? as usize;
+        let cols = dec.u32("operand cols")? as usize;
         rows.checked_mul(cols)
             .filter(|&n| n <= 1 << 32)
-            .ok_or_else(|| format!("snapshot: series {s} shape {rows}x{cols} is implausible"))?;
-        let config = dec.config("series config")?;
-        let n_terms = dec.u16("term count")? as usize;
-        let mut kinds = Vec::with_capacity(n_terms);
-        let mut terms = Vec::with_capacity(n_terms);
-        for t in 0..n_terms {
-            kinds.push(byte_backend(dec.u8("backend")?)?);
-            let n = dec.u8("pattern n")? as usize;
-            let m = dec.u8("pattern m")? as usize;
-            let pattern = NmPattern::new(n, m)
-                .map_err(|err| format!("snapshot: series {s} term {t} pattern: {err}"))?;
-            let entry_count = dec.u64("entry count")? as usize;
-            if entry_count > rows * cols {
-                return Err(format!(
-                    "snapshot: series {s} term {t} claims {entry_count} entries in a {rows}x{cols} term"
-                ));
-            }
-            let mut dense = Matrix::zeros(rows, cols);
-            for e in 0..entry_count {
-                let row = dec.u32("entry row")? as usize;
-                let col = dec.u32("entry col")? as usize;
-                let bits = dec.u32("entry value")?;
-                if row >= rows || col >= cols {
-                    return Err(format!(
-                        "snapshot: series {s} term {t} entry {e} at ({row}, {col}) is out of bounds"
-                    ));
-                }
-                dense[(row, col)] = f32::from_bits(bits);
-            }
-            let term = tasd_tensor::NmCompressed::from_dense_strict(&dense, pattern)
-                .map_err(|err| format!("snapshot: series {s} term {t} does not conform: {err}"))?;
-            term.validate()
-                .map_err(|err| format!("snapshot: series {s} term {t} invalid: {err}"))?;
-            terms.push(term);
-        }
-        let raw = Arc::new(TasdSeries::new((rows, cols), config, terms));
-        // Replay the recorded per-term plan instead of re-running the planner: packing
-        // follows the exact kernels the snapshotting engine chose.
-        let next = Cell::new(0usize);
-        let prepared = PreparedSeries::prepare(raw, fingerprint, |_, _, _| {
-            let i = next.get();
-            next.set(i + 1);
-            kinds[i]
+            .ok_or_else(|| format!("snapshot: operand {o} shape {rows}x{cols} is implausible"))?;
+        let row_hashes = (0..rows)
+            .map(|_| dec.u64("row hash"))
+            .collect::<Result<Vec<u64>, String>>()?;
+        let bands = band_ranges(rows)
+            .map(|(r0, r1)| {
+                let fingerprint = zobrist_fold(&row_hashes[r0..r1]);
+                decode_band(&mut dec, (r1 - r0, cols), &config, fingerprint)
+                    .map_err(|err| format!("snapshot: operand {o} rows {r0}..{r1}: {err}"))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        operands.push(SavedOperand {
+            name,
+            config,
+            shape: (rows, cols),
+            row_hashes,
+            bands,
         });
-        series.push(Arc::new(prepared));
-    }
-
-    let entry_count = dec.u32("entry count")? as usize;
-    let mut entries = Vec::with_capacity(entry_count.min(4096));
-    for e in 0..entry_count {
-        let fingerprint = dec.u64("key fingerprint")?;
-        let rows = dec.u32("key rows")? as usize;
-        let cols = dec.u32("key cols")? as usize;
-        let config = dec.config("key config")?;
-        let index = dec.u32("series index")? as usize;
-        let prepared = series.get(index).ok_or_else(|| {
-            format!("snapshot: entry {e} references series {index} of {series_count}")
-        })?;
-        entries.push((
-            CacheKey {
-                fingerprint,
-                shape: (rows, cols),
-                config,
-            },
-            Arc::clone(prepared),
-        ));
     }
     if !dec.rest.is_empty() {
         return Err(format!(
-            "snapshot: {} trailing bytes after the entry table",
+            "snapshot: {} trailing bytes after the last operand",
             dec.rest.len()
         ));
     }
-    Ok(entries)
+    Ok(operands)
+}
+
+/// Decodes one band's terms and re-packs them for their recorded kernels.
+fn decode_band(
+    dec: &mut Dec<'_>,
+    (rows, cols): (usize, usize),
+    config: &TasdConfig,
+    fingerprint: u64,
+) -> Result<Arc<PreparedSeries>, String> {
+    let n_terms = dec.u16("term count")? as usize;
+    let mut kinds = Vec::with_capacity(n_terms);
+    let mut terms = Vec::with_capacity(n_terms);
+    for t in 0..n_terms {
+        kinds.push(byte_backend(dec.u8("backend")?)?);
+        let n = dec.u8("pattern n")? as usize;
+        let m = dec.u8("pattern m")? as usize;
+        let pattern = NmPattern::new(n, m).map_err(|err| format!("term {t} pattern: {err}"))?;
+        let entry_count = dec.u64("entry count")? as usize;
+        if entry_count > rows * cols {
+            return Err(format!(
+                "term {t} claims {entry_count} entries in a {rows}x{cols} band"
+            ));
+        }
+        let mut dense = Matrix::zeros(rows, cols);
+        for e in 0..entry_count {
+            let row = dec.u32("entry row")? as usize;
+            let col = dec.u32("entry col")? as usize;
+            let bits = dec.u32("entry value")?;
+            if row >= rows || col >= cols {
+                return Err(format!(
+                    "term {t} entry {e} at ({row}, {col}) is out of bounds"
+                ));
+            }
+            dense[(row, col)] = f32::from_bits(bits);
+        }
+        let term = tasd_tensor::NmCompressed::from_dense_strict(&dense, pattern)
+            .map_err(|err| format!("term {t} does not conform: {err}"))?;
+        term.validate()
+            .map_err(|err| format!("term {t} invalid: {err}"))?;
+        terms.push(term);
+    }
+    let raw = Arc::new(TasdSeries::new((rows, cols), config.clone(), terms));
+    // Replay the recorded per-term plan instead of re-running the planner: packing
+    // follows the exact kernels the snapshotting engine chose.
+    let next = Cell::new(0usize);
+    let prepared = PreparedSeries::prepare(raw, fingerprint, |_, _, _| {
+        let i = next.get();
+        next.set(i + 1);
+        kinds[i]
+    });
+    Ok(Arc::new(prepared))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::ShardPolicy;
+    use super::super::{BatchRequest, ExecutionEngine};
     use super::*;
     use std::path::PathBuf;
     use tasd_tensor::MatrixGenerator;
@@ -460,121 +418,129 @@ mod tests {
         std::env::temp_dir().join(format!("tasd-persist-{}-{name}.bin", std::process::id()))
     }
 
-    fn warm_engine() -> (Arc<ExecutionEngine>, Matrix) {
-        let engine = Arc::new(
-            ExecutionEngine::builder()
-                .shard_policy(ShardPolicy::FixedRows(16))
-                .shard_min_rows(2)
-                .workers(1)
-                .build(),
-        );
-        let a = MatrixGenerator::seeded(21).sparse_normal(48, 32, 0.75);
-        engine.warm_serving_operand(&Arc::new(a.clone()), &cfg());
-        (engine, a)
+    fn store() -> WeightStore {
+        WeightStore::new(Arc::new(ExecutionEngine::builder().build()))
+    }
+
+    fn weights() -> [(&'static str, Matrix); 2] {
+        let mut gen = MatrixGenerator::seeded(21);
+        // 130 rows: two full bands and a ragged one. "w" saves last, and dense, so its
+        // last term ends on an entry.
+        [
+            ("a", gen.sparse_normal(130, 32, 0.75)),
+            ("w", gen.sparse_normal(64, 16, 0.0)),
+        ]
+    }
+
+    /// A store serving both operands of [`weights`].
+    fn warm_store() -> WeightStore {
+        let store = store();
+        for (name, a) in weights() {
+            store.register(name, a, cfg()).unwrap();
+        }
+        store
+    }
+
+    fn answer(store: &WeightStore, name: &str, b: &Matrix) -> Vec<u32> {
+        let request = store.resolve(name).unwrap().request(b.clone());
+        let output = store
+            .engine()
+            .submit(vec![request])
+            .remove(0)
+            .output
+            .unwrap();
+        output.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
     fn snapshot_roundtrip_restores_every_entry() {
-        let (engine, a) = warm_engine();
-        let before = engine.cache_stats();
-        assert!(before.entries > 0);
+        let first = warm_store();
+        let b = MatrixGenerator::seeded(22).normal(32, 5, 0.0, 1.0);
+        let before = answer(&first, "a", &b);
         let path = temp_path("roundtrip");
-        let stats = save_snapshot(&engine, &path).unwrap();
-        assert_eq!(stats.entries, before.entries);
+        let stats = save_snapshot(&first, &path).unwrap();
+        assert_eq!((stats.operands, stats.bands), (2, 4));
         assert!(stats.bytes > 0);
 
-        let restarted = Arc::new(
-            ExecutionEngine::builder()
-                .shard_policy(ShardPolicy::FixedRows(16))
-                .shard_min_rows(2)
-                .workers(1)
-                .build(),
-        );
+        let restarted = store();
         let outcome = load_snapshot(&restarted, &path);
         assert_eq!(
             outcome,
             LoadOutcome::Warm {
-                entries: before.entries,
+                operands: 2,
                 bytes: stats.bytes
             }
         );
-        assert_eq!(restarted.cache_stats().entries, before.entries);
-        assert_eq!(
-            restarted.cache_stats().bytes_resident,
-            before.bytes_resident,
-            "byte accounting must survive the save/load cycle"
+        assert!(
+            restarted.resolve("a").is_none(),
+            "a snapshot holds no weights"
         );
-
-        // The restarted engine's first preparation of the same weights is pure hits:
-        // zero decompositions (the warm-restart contract).
-        restarted.warm_serving_operand(&Arc::new(a), &cfg());
-        assert_eq!(restarted.prep_stats().prepares, 0);
+        assert_eq!(
+            restarted.bytes_resident(),
+            first.bytes_resident(),
+            "every band is resident again"
+        );
+        // Re-registering the same weights is the warm-restart contract: zero
+        // decompositions, and the same bits.
+        for (name, a) in weights() {
+            assert_eq!(restarted.register(name, a, cfg()).unwrap().prepares, 0);
+        }
+        assert_eq!(restarted.engine().prep_stats().prepares, 0);
+        assert_eq!(answer(&restarted, "a", &b), before);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn reloaded_series_are_bitwise_identical() {
-        let (engine, _) = warm_engine();
-        let entries = lock_or_panic(&engine.cache, "prepared cache").persistable_entries();
-        let bytes = encode_entries(&entries).unwrap();
-        let reloaded = decode_entries(&bytes).unwrap();
-        assert_eq!(reloaded.len(), entries.len());
-        for ((key, original), (rkey, restored)) in entries.iter().zip(&reloaded) {
-            assert_eq!(key, rkey);
-            assert_eq!(original.fingerprint(), restored.fingerprint());
-            assert_eq!(original.shape(), restored.shape());
-            assert_eq!(original.summary(), restored.summary(), "plans must replay");
-            let a = original.series().reconstruct();
-            let b = restored.series().reconstruct();
-            assert_eq!(a.as_slice(), b.as_slice(), "reconstruction must be bitwise");
+        let store = warm_store();
+        let operands = store.saved_operands();
+        let reloaded = decode_operands(&encode_operands(&operands).unwrap()).unwrap();
+        assert_eq!(reloaded.len(), operands.len());
+        for (original, restored) in operands.iter().zip(&reloaded) {
+            assert_eq!(original.name, restored.name);
+            assert_eq!(original.config, restored.config);
+            assert_eq!(original.shape, restored.shape);
+            assert_eq!(original.row_hashes, restored.row_hashes);
+            assert_eq!(original.bands.len(), restored.bands.len());
+            for (a, b) in original.bands.iter().zip(&restored.bands) {
+                assert_eq!(a.fingerprint(), b.fingerprint());
+                assert_eq!(a.shape(), b.shape());
+                assert_eq!(a.summary(), b.summary(), "plans must replay");
+                let (a, b) = (a.series().reconstruct(), b.series().reconstruct());
+                assert_eq!(a.as_slice(), b.as_slice(), "reconstruction must be bitwise");
+            }
         }
     }
 
     #[test]
-    fn aliased_entries_still_alias_after_decode() {
-        let (engine, _) = warm_engine();
-        let mut entries = lock_or_panic(&engine.cache, "prepared cache").persistable_entries();
-        // Manufacture an alias: a second key resolving to the first entry's allocation.
-        let (first_key, first_series) = entries[0].clone();
-        entries.push((
-            CacheKey {
-                fingerprint: first_key.fingerprint ^ 1,
-                ..first_key
-            },
-            first_series,
-        ));
-        let decoded = decode_entries(&encode_entries(&entries).unwrap()).unwrap();
-        let last = decoded.len() - 1;
-        assert!(
-            Arc::ptr_eq(&decoded[0].1, &decoded[last].1),
-            "keys sharing an allocation on save must share one after load"
-        );
-    }
-
-    #[test]
     fn every_corruption_is_a_clean_cold_start() {
-        let (engine, _) = warm_engine();
         let path = temp_path("corrupt");
-        save_snapshot(&engine, &path).unwrap();
+        save_snapshot(&warm_store(), &path).unwrap();
         let good = std::fs::read(&path).unwrap();
 
-        let fresh = || Arc::new(ExecutionEngine::builder().workers(1).build());
         let cold_reason = |bytes: &[u8], label: &str| {
-            let engine = fresh();
+            let store = store();
             std::fs::write(&path, bytes).unwrap();
-            match load_snapshot(&engine, &path) {
+            match load_snapshot(&store, &path) {
                 LoadOutcome::Cold { reason } => {
-                    assert_eq!(engine.cache_stats().entries, 0, "{label}: cache untouched");
+                    assert_eq!(store.bytes_resident(), 0, "{label}: store untouched");
                     reason
                 }
                 LoadOutcome::Warm { .. } => panic!("{label}: corrupt snapshot loaded warm"),
             }
         };
+        // Re-seals a body after a structural edit, so only validation can reject it.
+        let resealed = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut body = good[..good.len() - 8].to_vec();
+            edit(&mut body);
+            let sum = checksum(&body);
+            body.extend_from_slice(&sum.to_le_bytes());
+            body
+        };
 
         // Missing file.
-        let engine2 = fresh();
         std::fs::remove_file(&path).unwrap();
-        assert!(!load_snapshot(&engine2, &path).is_warm());
+        assert!(!load_snapshot(&store(), &path).is_warm());
 
         // Empty, truncated, bit-flipped, bad magic, future version.
         assert!(cold_reason(&[], "empty").contains("too short"));
@@ -589,37 +555,47 @@ mod tests {
         let mut version = good.clone();
         version[8] = 9;
         assert!(cold_reason(&version, "version").contains("checksum"));
-        // Re-checksummed structural corruption gets past the checksum and must still be
-        // rejected by validation: point the final entry's series index out of range
-        // (the last four body bytes) and re-seal the snapshot.
-        let mut reindexed = good[..good.len() - 8].to_vec();
-        let len = reindexed.len();
-        reindexed[len - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
-        let sum = checksum(&reindexed);
-        reindexed.extend_from_slice(&sum.to_le_bytes());
-        assert!(cold_reason(&reindexed, "series index").contains("references series"));
+        // A version-1 (prepared-cache) snapshot is a clean cold start.
+        let v1 = resealed(&|body| body[8..12].copy_from_slice(&1u32.to_le_bytes()));
+        assert!(cold_reason(&v1, "version 1").contains("version 1 unsupported"));
+        // The last four body bytes are the last entry's value; the eight before them,
+        // its position. Point its row out of the band.
+        let moved = resealed(&|body| {
+            let len = body.len();
+            body[len - 12..len - 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        });
+        assert!(cold_reason(&moved, "entry row").contains("out of bounds"));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn loading_never_displaces_live_entries() {
-        let (engine, a) = warm_engine();
+        let store = warm_store();
         let path = temp_path("displace");
-        save_snapshot(&engine, &path).unwrap();
-        // The engine keeps serving between save and (re)load; re-loading its own
-        // snapshot must keep the resident allocations (first-insert-wins), not churn.
-        let resident = engine.cache_stats();
-        let outcome = load_snapshot(&engine, &path);
-        assert!(outcome.is_warm());
-        assert_eq!(engine.cache_stats().entries, resident.entries);
-        assert_eq!(engine.cache_stats().bytes_resident, resident.bytes_resident);
-        engine.warm_serving_operand(&Arc::new(a), &cfg());
-        let prepares = engine.prep_stats().prepares;
-        engine.warm_serving_operand(
-            &Arc::new(MatrixGenerator::seeded(21).sparse_normal(48, 32, 0.75)),
-            &cfg(),
+        save_snapshot(&store, &path).unwrap();
+        // The store keeps serving between save and (re)load; re-loading its own
+        // snapshot must keep the live generations, not shadow or double-count them.
+        let live = store.resolve("w").unwrap();
+        let resident = store.bytes_resident();
+        assert!(load_snapshot(&store, &path).is_warm());
+        assert!(Arc::ptr_eq(&live, &store.resolve("w").unwrap()));
+        assert_eq!(store.bytes_resident(), resident);
+        for (name, a) in weights() {
+            assert_eq!(
+                store.register(name, a, cfg()).unwrap().prepares,
+                0,
+                "still shared"
+            );
+        }
+        // A request built before the reload still runs the bands it captured.
+        let b = MatrixGenerator::seeded(23).normal(16, 2, 0.0, 1.0);
+        let response = store.engine().submit(vec![live.request(b.clone())]);
+        let whole = BatchRequest::decomposed(Arc::clone(live.matrix()), cfg(), b);
+        let expected = ExecutionEngine::builder().build().submit(vec![whole]);
+        assert_eq!(
+            response[0].output.as_ref().unwrap(),
+            expected[0].output.as_ref().unwrap()
         );
-        assert_eq!(engine.prep_stats().prepares, prepares, "still pure hits");
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -23,8 +23,8 @@
 //! 3. **Group + execute** — a closing window is handed to the engine's batch executor
 //!    verbatim: the same grouping key `(fingerprint, shape, config)`, the same
 //!    shortest-plan-first admission under the fairness cap, the same packed multi-RHS
-//!    kernel passes, the same shard routing. Every contract `submit` ever made holds
-//!    per window.
+//!    kernel passes, the same banded execution of named operands. Every contract
+//!    `submit` ever made holds per window.
 //! 4. **Handle** — each request's [`BatchResponse`] lands in its handle;
 //!    [`is_ready`](ResponseHandle::is_ready) / [`try_take`](ResponseHandle::try_take)
 //!    poll, [`wait`](ResponseHandle::wait) blocks (closing the window first, so a lone
@@ -58,9 +58,9 @@
 //!
 //! Which window a request lands in is timing-dependent under concurrency; the *bits* of
 //! its response are not. Group execution is bitwise identical to per-request execution
-//! (the [`batch` module](super::batch) contract) and sharded execution is bitwise
-//! identical to unsharded (the [`shard` module](super::shard) contract), so window
-//! composition, admission order, and executor placement are all invisible in the
+//! (the [`batch` module](super::batch) contract) and banded execution is bitwise
+//! identical to whole-operand execution (the engine module docs' "Bands" section), so
+//! window composition, admission order, and executor placement are all invisible in the
 //! results — the concurrency stress suite (`tests/serving_async.rs`) locks this down.
 //!
 //! # Deadlines, overload, and shutdown

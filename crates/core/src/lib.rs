@@ -28,11 +28,11 @@
 //!   engine: enqueue requests, coalesce them into micro-batch windows, collect results
 //!   through [`ResponseHandle`]s (see the `tasd::engine` module docs' serving-session
 //!   lifecycle).
-//! * [`WeightStore`] / [`load_snapshot`] — the deploy lifecycle: named operands with
-//!   atomic generation swaps (push new weights under live traffic, re-preparing only
-//!   dirty row shards) and prepared-cache persistence (a restarted engine serves its
-//!   first request with zero decompositions). See the `tasd::engine` module docs'
-//!   "Deploy lifecycle" section.
+//! * [`WeightStore`] / [`load_snapshot`] — the deploy lifecycle: named operands that own
+//!   their prepared 64-row bands, with atomic generation swaps (push new weights under
+//!   live traffic, re-preparing only dirty bands) and store persistence (a restarted
+//!   server re-registers the same weights with zero decompositions). See the
+//!   `tasd::engine` module docs' "Deploy lifecycle" section.
 //! * [`compose`] — the pattern-composition algebra (paper Table 2): which effective N:M
 //!   patterns a piece of hardware supports once TASD chaining is allowed.
 //! * [`analysis`] — the synthetic-data studies of the paper's Appendix A (drop fractions vs
@@ -88,10 +88,9 @@ pub use engine::{
     BatchTelemetry, CacheEntryStats, CacheStats, Clock, DecompositionCache, DeployError,
     DeployReport, DispatcherHandle, EngineBuilder, ExecutionEngine, FaultKind, FaultPlan,
     FaultRecord, FaultSite, FaultyBackend, Generation, GroupTelemetry, LatchedBackend, LoadOutcome,
-    MatmulPlan, MockClock, MonotonicClock, OverloadPolicy, PrepStats, PreparedSeries,
-    PreparedShard, PreparedTerm, ResponseHandle, ServingEngine, ServingError, ServingStats,
-    ShardPolicy, ShardTelemetry, ShardedSeries, ShardedTelemetry, SnapshotStats, TermPlan,
-    WeightStore,
+    MatmulPlan, MockClock, MonotonicClock, OverloadPolicy, PrepStats, PreparedSeries, PreparedTerm,
+    ResponseHandle, ServingEngine, ServingError, ServingStats, SnapshotStats, TermPlan,
+    WeightStore, BAND_ROWS,
 };
 pub use series::{series_gemm, series_gemm_into, DecompositionReport, TasdSeries};
 

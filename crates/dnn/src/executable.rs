@@ -227,14 +227,8 @@ impl Mlp {
     /// Repeated [`ServingMlp::forward_batch`] calls then perform zero weight transposes,
     /// zero content-fingerprint scans, zero decompositions, zero format conversions, and
     /// zero replans — the prepare-once / execute-many contract of the `tasd::engine`
-    /// module, applied network-wide.
-    ///
-    /// Layers large enough to meet the engine's shard routing (an
-    /// `EngineBuilder::shard_policy` plus `shard_min_rows`) are warmed **shard by
-    /// shard** — one cache entry per row shard of the transposed weight — so serving
-    /// batches against those layers execute on the shard worker pool with every shard
-    /// already prepared. Sharding never changes results; outputs are bitwise identical
-    /// to an unsharded engine's.
+    /// module, applied network-wide. Each configured layer is one cache entry, prepared
+    /// with `ExecutionEngine::prepare_shared`.
     ///
     /// The snapshot is decoupled from the `Mlp`: mutating weights afterwards (e.g. via
     /// [`Mlp::layers_mut`]) does not invalidate it — rebuild the snapshot after a weight
@@ -253,9 +247,8 @@ impl Mlp {
                 let config = configs.get(l).cloned().flatten();
                 if let Some(cfg) = &config {
                     // Warm the prepared cache (and the fingerprint memo) now, so the
-                    // first batch is as cheap as the hundredth. Layers that meet the
-                    // engine's shard routing warm one entry per row shard instead.
-                    engine.warm_serving_operand(&w_t, cfg);
+                    // first batch is as cheap as the hundredth.
+                    engine.prepare_shared(&w_t, cfg);
                 }
                 ServingLayer {
                     w_t,
@@ -724,49 +717,6 @@ mod tests {
         assert_eq!(after.plans_computed, before.plans_computed);
         assert_eq!(after.prepares, before.prepares);
         assert_eq!(e.cache_stats().misses, cache_before.misses);
-    }
-
-    #[test]
-    fn sharded_serving_is_bitwise_identical_and_warms_per_shard() {
-        use tasd::ShardPolicy;
-        // The serving operand is the transposed weight, so its row count is the layer's
-        // out_features: layer 0 (48 rows) crosses the shard threshold, layer 1 (8 rows)
-        // stays unsharded.
-        let mlp = Mlp::new(&[24, 48, 8], Activation::Relu, 35);
-        let mut gen = MatrixGenerator::seeded(36);
-        let inputs: Vec<Matrix> = (0..3).map(|_| gen.normal(4, 24, 0.0, 1.0)).collect();
-        let cfgs = vec![Some(TasdConfig::parse("2:8").unwrap()); mlp.num_layers()];
-        let plain = ExecutionEngine::builder().build();
-        let sharded = ExecutionEngine::builder()
-            .shard_policy(ShardPolicy::NnzBalanced(3))
-            .shard_min_rows(32)
-            .build();
-        let baseline = mlp
-            .prepare_serving(&plain, &cfgs)
-            .forward_batch(&plain, &inputs);
-        let serving = mlp.prepare_serving(&sharded, &cfgs);
-        // Layer 0 warms 3 shard entries, layer 1 warms 1 whole-matrix entry.
-        assert_eq!(sharded.cache_stats().entries, 4);
-        let via_shards = serving.forward_batch(&sharded, &inputs);
-        for (a, b) in via_shards.iter().zip(&baseline) {
-            assert_eq!(a, b, "sharded serving must be bitwise identical");
-        }
-        // Warm sharded batches keep the prepare-once contract: no conversions, no
-        // replans, no rescans, and per-shard cache hits.
-        let _ = serving.forward_batch(&sharded, &inputs);
-        let before = sharded.prep_stats();
-        let hits_before = sharded.cache_stats().hits;
-        let _ = serving.forward_batch(&sharded, &inputs);
-        let after = sharded.prep_stats();
-        assert_eq!(after.conversions, before.conversions);
-        assert_eq!(after.plans_computed, before.plans_computed);
-        assert_eq!(after.fingerprint_scans, before.fingerprint_scans);
-        assert_eq!(after.prepares, before.prepares);
-        assert_eq!(
-            sharded.cache_stats().hits,
-            hits_before + 4,
-            "one hit per shard of layer 0 plus one for layer 1"
-        );
     }
 
     #[test]

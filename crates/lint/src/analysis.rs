@@ -6,7 +6,7 @@
 //! ```text
 //! // lint: hot-path
 //! // lint: hot-path, warm-path
-//! // lint: warm-path, allow(indexing): slots are sized to the shard count
+//! // lint: warm-path, allow(indexing): slots are sized to the band count
 //! // lint: allow(panic): poisoned lock is already a crash
 //! //! lint: hot-path
 //! ```

@@ -2,21 +2,26 @@
 //!
 //! ```text
 //! tasd-serve [--addr 127.0.0.1:7474] [--max-batch 32] [--queue-cap N] [--shed]
-//!            [--max-frame-mb 64]
+//!            [--max-frame-mb 64] [--snapshot PATH]
 //! ```
 //!
 //! Runs until a `Shutdown` control frame arrives (the supervisor-friendly stop path;
-//! see the server module docs).
+//! see the server module docs). With `--snapshot PATH` it restores the weight store
+//! from PATH at start (a missing or corrupt file is a cold start) and saves the store
+//! back to PATH after that shutdown, so the next start re-registers the same weights
+//! without decomposing.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 
-use tasd::OverloadPolicy;
+use tasd::{ExecutionEngine, LoadOutcome, OverloadPolicy};
 use tasd_serve::{Server, ServerConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: tasd-serve [--addr HOST:PORT] [--max-batch N] [--queue-cap N] [--shed] \
-         [--max-frame-mb MIB]"
+         [--max-frame-mb MIB] [--snapshot PATH]"
     );
     ExitCode::FAILURE
 }
@@ -35,6 +40,7 @@ fn parse<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &s
 fn main() -> ExitCode {
     let mut addr = "127.0.0.1:7474".to_string();
     let mut config = ServerConfig::default();
+    let mut snapshot: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -55,10 +61,30 @@ fn main() -> ExitCode {
                 Some(value) => config.max_frame_bytes = value << 20,
                 None => return usage(),
             },
+            "--snapshot" => match args.next() {
+                Some(value) => snapshot = Some(PathBuf::from(value)),
+                None => return usage(),
+            },
             _ => return usage(),
         }
     }
-    let mut server = match Server::bind(&addr, config) {
+    let bound = match &snapshot {
+        Some(path) => {
+            let engine = Arc::new(ExecutionEngine::builder().build());
+            Server::bind_restored(&addr, config, engine, path).map(|(server, outcome)| {
+                match outcome {
+                    LoadOutcome::Warm { operands, bytes } => println!(
+                        "tasd-serve: warm_start from {}: {operands} operands, {bytes} bytes",
+                        path.display()
+                    ),
+                    LoadOutcome::Cold { reason } => println!("tasd-serve: cold start: {reason}"),
+                }
+                server
+            })
+        }
+        None => Server::bind(&addr, config),
+    };
+    let mut server = match bound {
         Ok(server) => server,
         Err(error) => {
             eprintln!("tasd-serve: cannot bind {addr}: {error}");
@@ -67,6 +93,24 @@ fn main() -> ExitCode {
     };
     println!("tasd-serve listening on {}", server.local_addr());
     server.wait();
+    if let Some(path) = &snapshot {
+        match server.snapshot(path) {
+            Ok(stats) => println!(
+                "tasd-serve: saved {} operands ({} bands, {} bytes) to {}",
+                stats.operands,
+                stats.bands,
+                stats.bytes,
+                path.display()
+            ),
+            Err(error) => {
+                eprintln!(
+                    "tasd-serve: cannot save snapshot {}: {error}",
+                    path.display()
+                );
+                return ExitCode::FAILURE;
+            }
+        }
+    }
     println!("tasd-serve: shut down cleanly");
     ExitCode::SUCCESS
 }

@@ -92,7 +92,7 @@ impl Client {
 
     /// Deploys weights under `name`. With `config` (e.g. `"2:8+1:8"`) this is a full
     /// registration; without, an incremental push against the registered config that
-    /// re-prepares only dirty row shards. The server answers with an `UpdateAck` (or
+    /// re-prepares only dirty 64-row bands. The server answers with an `UpdateAck` (or
     /// a structured error frame) via [`recv`](Client::recv).
     pub fn update_weights(
         &mut self,

@@ -15,14 +15,15 @@
 //!
 //! The server fronts a [`tasd::WeightStore`]: an
 //! [`UpdateWeights`](wire::Frame::UpdateWeights) frame deploys named weights (full
-//! registration with a config, incremental push without — only dirty row shards
+//! registration with a config, incremental push without — only dirty 64-row bands
 //! re-prepare), answered by [`UpdateAck`](wire::Frame::UpdateAck);
 //! [`NamedRequest`](wire::Frame::NamedRequest) multiplies against the name's current
 //! generation, resolved at enqueue so a concurrent deploy never tears an in-flight
-//! request. [`Server::bind_restored`] starts from a prepared-cache snapshot (written
-//! by [`Server::snapshot`]) so a restarted server decomposes nothing on its first
-//! request; the [`Stats`](wire::Frame::Stats) frame reports the store generation,
-//! resident cache bytes, and warm-start status. Wire details: `README.md`.
+//! request. [`Server::bind_restored`] starts from a store snapshot (written by
+//! [`Server::snapshot`]; `tasd-serve --snapshot PATH` does both) so a restarted server
+//! re-registers the same weights with zero decompositions; the
+//! [`Stats`](wire::Frame::Stats) frame reports the store generation, resident prepared
+//! bytes, and warm-start status. Wire details: `README.md`.
 //!
 //! # Error frames, not dropped connections
 //!

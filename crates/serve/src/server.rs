@@ -93,10 +93,10 @@ struct ConnectionRegistry {
 struct ServerShared {
     session: ServingEngine,
     /// Named serving operands; `UpdateWeights` deploys into it, `NamedRequest`
-    /// resolves through it. Shares the session's engine (and its prepared cache).
+    /// resolves through it. Shares the session's engine.
     store: Arc<WeightStore>,
-    /// Whether startup restored an intact prepared-cache snapshot (reported in the
-    /// `Stats` frame so operators can verify a warm restart).
+    /// Whether startup restored an intact store snapshot (reported in the `Stats` frame
+    /// so operators can verify a warm restart).
     warm_start: bool,
     /// Fast-path flag the accept loop polls between connections.
     stop: AtomicBool,
@@ -156,34 +156,37 @@ impl Server {
         config: ServerConfig,
         engine: Arc<ExecutionEngine>,
     ) -> io::Result<Server> {
-        Server::bind_inner(addr, config, engine, false)
+        Server::bind_inner(addr, config, WeightStore::new(engine), false)
     }
 
-    /// [`bind_over`](Server::bind_over), restoring the engine's prepared cache from a
-    /// snapshot first (see [`tasd::load_snapshot`]). Returns the server together with
-    /// the load outcome; a defective snapshot is a *cold* start, never a bind error —
-    /// the warm-start flag in the `Stats` frame reflects the outcome. After a warm
-    /// start, the first request against snapshotted weights decomposes nothing.
+    /// [`bind_over`](Server::bind_over), first restoring the weight store's operands
+    /// from a snapshot (see [`tasd::load_snapshot`]). Returns the server together with
+    /// the load outcome; a missing or defective snapshot is a *cold* start, never a bind
+    /// error — the warm-start flag in the `Stats` frame reflects the outcome. A restored
+    /// operand is not servable until its weights are registered again; after a warm
+    /// start, registering the snapshotted weights decomposes nothing.
     pub fn bind_restored(
         addr: impl ToSocketAddrs,
         config: ServerConfig,
         engine: Arc<ExecutionEngine>,
         snapshot: &Path,
     ) -> io::Result<(Server, LoadOutcome)> {
-        let outcome = load_snapshot(&engine, snapshot);
-        let server = Server::bind_inner(addr, config, engine, outcome.is_warm())?;
+        let store = WeightStore::new(engine);
+        let outcome = load_snapshot(&store, snapshot);
+        let server = Server::bind_inner(addr, config, store, outcome.is_warm())?;
         Ok((server, outcome))
     }
 
     fn bind_inner(
         addr: impl ToSocketAddrs,
         config: ServerConfig,
-        engine: Arc<ExecutionEngine>,
+        store: WeightStore,
         warm_start: bool,
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let store = Arc::new(WeightStore::new(Arc::clone(&engine)));
+        let engine = Arc::clone(store.engine());
+        let store = Arc::new(store);
         let mut session = ServingEngine::over(engine)
             .with_max_batch(config.max_batch)
             .with_overload_policy(config.overload);
@@ -233,10 +236,10 @@ impl Server {
         &self.shared.store
     }
 
-    /// Snapshots the engine's prepared cache to `path` (see [`tasd::save_snapshot`]);
+    /// Snapshots the weight store's operands to `path` (see [`tasd::save_snapshot`]);
     /// a later [`bind_restored`](Server::bind_restored) over it starts warm.
     pub fn snapshot(&self, path: &Path) -> io::Result<SnapshotStats> {
-        save_snapshot(self.shared.store.engine(), path)
+        save_snapshot(&self.shared.store, path)
     }
 
     /// Graceful session drain: closes admission and executes the parked window. The
@@ -523,7 +526,7 @@ fn reader_loop(shared: &ServerShared, stream: &TcpStream, tx: &mpsc::Sender<Writ
                     let report = StatsReport {
                         serving: session.stats(),
                         cache_generation: shared.store.generation(),
-                        bytes_resident: shared.store.engine().cache_stats().bytes_resident as u64,
+                        bytes_resident: shared.store.bytes_resident() as u64,
                         warm_start: shared.warm_start,
                     };
                     let _ = tx.send(WriterMsg::Frame(Frame::Stats(report)));

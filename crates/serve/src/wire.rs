@@ -315,11 +315,11 @@ pub struct StatsReport {
     pub serving: ServingStats,
     /// The weight store's deploy counter (0 when nothing was ever deployed).
     pub cache_generation: u64,
-    /// Resident bytes of the engine's decomposition cache (prepared series + packed
-    /// execution formats, deduped by allocation).
+    /// Resident prepared bytes: the weight store's live bands plus the engine's
+    /// decomposition cache (series + packed execution formats, deduped by allocation).
     pub bytes_resident: u64,
-    /// Whether the server started from an intact prepared-cache snapshot (zero
-    /// decompositions on the first request against snapshotted weights).
+    /// Whether the server started from an intact store snapshot (re-registering the
+    /// snapshotted weights decomposes nothing).
     pub warm_start: bool,
 }
 
@@ -348,9 +348,10 @@ pub enum Frame {
     /// A session-control operation.
     Control(ControlOp),
     /// Deploy weights under `name` into the server's weight store. With `config`, a
-    /// full registration (first deploy of the name, or a config change — every shard
-    /// prepares); without, an incremental push against the resident generation (only
-    /// dirty row shards re-prepare; the name must already be registered). Answered
+    /// registration (every row and band acks dirty; bands unchanged against the
+    /// resident generation or a restored snapshot under the same config are reused, the
+    /// rest decompose); without, an incremental push against the resident generation
+    /// (only dirty 64-row bands re-prepare; the name must already be registered). Answered
     /// with [`UpdateAck`](Frame::UpdateAck) or an [`Error`](Frame::Error) at
     /// [`CONNECTION_SCOPE_ID`] ([`ErrorCode::UnknownOperand`] /
     /// [`ErrorCode::DeployRejected`]); either way the previous generation keeps
@@ -411,12 +412,13 @@ pub enum Frame {
         dirty_rows: u64,
         /// Total rows of the operand.
         total_rows: u64,
-        /// Row shards containing at least one dirty row.
+        /// 64-row bands containing at least one dirty row (every band for a
+        /// registration).
         dirty_shards: u64,
-        /// Total row shards of the operand.
+        /// Total 64-row bands of the operand.
         total_shards: u64,
-        /// Decompositions the deploy actually performed (tracks `dirty_shards`, not
-        /// `total_shards`: clean shards hit the prepared cache).
+        /// Bands the deploy actually decomposed (for a push, `dirty_shards`; for a
+        /// registration, the bands it could not reuse — 0 on a warm re-register).
         prepares: u64,
     },
     /// The server's counters, answering [`ControlOp::Stats`].

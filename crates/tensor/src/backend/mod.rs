@@ -139,7 +139,7 @@ pub trait GemmBackend: fmt::Debug + Sync + Send {
     /// row-major slab `c_rows` (length `(r1 - r0) * n_cols`).
     ///
     /// This is the unit of work the execution engine distributes over its workers (row
-    /// tiles and shards); shape checking happens once up front ([`GemmBackend::gemm_into`]
+    /// tiles and bands); shape checking happens once up front ([`GemmBackend::gemm_into`]
     /// or the engine's own check), so implementations may assume consistent arguments
     /// and panic otherwise.
     fn gemm_rows_into(

@@ -37,6 +37,7 @@ pub mod backend;
 pub mod csr;
 pub mod error;
 pub mod gemm;
+pub mod hash;
 pub mod im2col;
 pub mod matrix;
 pub mod nm;

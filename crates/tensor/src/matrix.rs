@@ -205,38 +205,7 @@ impl Matrix {
     /// O(elements) — which is why the engine memoizes fingerprints per operand
     /// allocation on its serving path instead of rescanning per request.
     pub fn fingerprint(&self) -> u64 {
-        const M: u64 = 0x9E37_79B9_7F4A_7C15;
-        #[inline]
-        fn avalanche(mut x: u64) -> u64 {
-            x ^= x >> 30;
-            x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x ^= x >> 27;
-            x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        }
-        let mut lanes = [
-            M ^ self.rows as u64,
-            M.rotate_left(17) ^ self.cols as u64,
-            M.rotate_left(34),
-            M.rotate_left(51),
-        ];
-        let mut chunks = self.data.chunks_exact(8);
-        for chunk in &mut chunks {
-            for (lane, pair) in lanes.iter_mut().zip(chunk.chunks_exact(2)) {
-                let word = (pair[0].to_bits() as u64) << 32 | pair[1].to_bits() as u64;
-                *lane = (*lane ^ word).wrapping_mul(M);
-            }
-        }
-        for (i, &x) in chunks.remainder().iter().enumerate() {
-            let lane = &mut lanes[i % 4];
-            *lane = (*lane ^ (x.to_bits() as u64 | 1 << 63)).wrapping_mul(M);
-        }
-        avalanche(
-            avalanche(lanes[0])
-                .wrapping_add(avalanche(lanes[1]).rotate_left(16))
-                .wrapping_add(avalanche(lanes[2]).rotate_left(32))
-                .wrapping_add(avalanche(lanes[3]).rotate_left(48)),
-        )
+        crate::hash::hash_f32s(&self.data, self.rows as u64, self.cols as u64)
     }
 
     /// Dense storage footprint in bytes (`rows · cols · 4`), the figure the execution
@@ -369,9 +338,9 @@ impl Matrix {
     }
 
     /// Extracts rows `[r0, r1)` as a standalone matrix in one contiguous copy (the
-    /// storage is row-major, so a row range is a single `memcpy`). This is the shard
-    /// extraction primitive of the row-sharded execution path: unlike [`Matrix::block`]
-    /// it never walks elements one by one.
+    /// storage is row-major, so a row range is a single `memcpy`). This is how a weight
+    /// store extracts the 64-row bands it decomposes: unlike [`Matrix::block`] it never
+    /// walks elements one by one.
     ///
     /// # Panics
     ///
@@ -384,8 +353,7 @@ impl Matrix {
         }
     }
 
-    /// Per-row non-zero counts, in row order. One pass over the storage; this is what
-    /// nnz-balanced shard policies split on.
+    /// Per-row non-zero counts, in row order. One pass over the storage.
     pub fn row_nnz_counts(&self) -> Vec<usize> {
         (0..self.rows)
             .map(|i| self.row(i).iter().filter(|&&x| x != 0.0).count())
@@ -674,6 +642,14 @@ mod tests {
         let flat = a.as_slice().to_vec();
         let reshaped = Matrix::from_vec(4, 3, flat).unwrap();
         assert_ne!(a.fingerprint(), reshaped.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        // Store snapshots keep row hashes from this same hash, so its values must not
+        // drift between builds. 3x5 covers full 8-element chunks and a ragged tail.
+        let m = Matrix::from_fn(3, 5, |i, j| i as f32 * 0.5 - j as f32 * 1.25);
+        assert_eq!(m.fingerprint(), 325_991_931_397_060_744);
     }
 
     #[test]

@@ -4,23 +4,23 @@
 //! The contracts locked down here, per the `tasd::engine` module docs:
 //!
 //! * **Bitwise identity under contention** — N threads enqueueing mixed
-//!   sharded/unsharded/dense batches concurrently through one [`ServingEngine`] get
+//!   banded/inline/dense batches concurrently through one [`ServingEngine`] get
 //!   responses bitwise identical to a sequential [`ExecutionEngine::submit`] of the
 //!   same requests, however the windows happen to compose.
 //! * **Prepare-once under contention** — warm concurrent traffic performs zero
 //!   conversions, zero replans, and zero operand rescans ([`PrepStats`] deltas), so the
 //!   serving hot path stays scan-free when threads pile on.
-//! * **One executor, sized once** — sharded execution never spawns per call: the
+//! * **One executor, sized once** — banded execution never spawns per call: the
 //!   engine's pool threads are spawned once ([`ExecutionEngine::pool_threads`] stays at
-//!   `workers − 1` across arbitrarily many sharded batches), the worker count is
+//!   `workers − 1` across arbitrarily many banded batches), the worker count is
 //!   captured at build time ([`EngineBuilder::workers`]), and worker placement never
 //!   changes results.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use tasd::{
-    BatchRequest, BatchResponse, ExecutionEngine, LatchedBackend, ServingEngine, ServingError,
-    ShardPolicy, TasdConfig,
+    BatchRequest, BatchResponse, ExecutionEngine, Generation, LatchedBackend, ServingEngine,
+    ServingError, TasdConfig, WeightStore,
 };
 use tasd_tensor::backend::{DenseBackend, GemmBackend};
 use tasd_tensor::{Matrix, MatrixGenerator};
@@ -28,12 +28,13 @@ use tasd_tensor::{Matrix, MatrixGenerator};
 /// Threads the stress tests fan out over (the acceptance criterion names ≥ 4).
 const THREADS: usize = 4;
 
-/// A mixed workload over shared operands: a large operand that crosses the engine's
-/// shard threshold, a small one that stays whole, and dense (undecomposed) requests on
-/// both — `per_thread` requests per thread, deterministically seeded per thread so the
-/// concurrent and sequential runs see identical bytes.
+/// A mixed workload over shared operands: a named operand (a weight-store generation,
+/// executed by band), a small inline operand decomposed through the cache, and dense
+/// (undecomposed) requests on the named operand's weights — `per_thread` requests per
+/// thread, deterministically seeded per thread so the concurrent and sequential runs
+/// see identical bytes.
 struct Workload {
-    big: Arc<Matrix>,
+    big: Arc<Generation>,
     small: Arc<Matrix>,
     cfg: TasdConfig,
 }
@@ -41,20 +42,20 @@ struct Workload {
 impl Workload {
     fn new() -> Self {
         let mut gen = MatrixGenerator::seeded(0xA57C);
+        let cfg = TasdConfig::parse("2:8+1:8").unwrap();
+        let store = WeightStore::new(Arc::new(ExecutionEngine::builder().build()));
+        store
+            .register("big", gen.sparse_normal(128, 64, 0.9), cfg.clone())
+            .unwrap();
         Workload {
-            big: Arc::new(gen.sparse_normal(128, 64, 0.9)),
+            big: store.resolve("big").unwrap(),
             small: Arc::new(gen.sparse_normal(32, 64, 0.6)),
-            cfg: TasdConfig::parse("2:8+1:8").unwrap(),
+            cfg,
         }
     }
 
-    /// An engine configured so `big` row-shards and `small` serves whole.
     fn engine(&self) -> ExecutionEngine {
-        ExecutionEngine::builder()
-            .shard_policy(ShardPolicy::NnzBalanced(3))
-            .shard_min_rows(64)
-            .workers(THREADS)
-            .build()
+        ExecutionEngine::builder().workers(THREADS).build()
     }
 
     /// Thread `t`'s deterministic request stream.
@@ -64,16 +65,16 @@ impl Workload {
             .map(|i| {
                 let b = gen.normal(64, 3, 0.0, 1.0);
                 match i % 3 {
-                    0 => BatchRequest::decomposed(Arc::clone(&self.big), self.cfg.clone(), b),
+                    0 => self.big.request(b),
                     1 => BatchRequest::decomposed(Arc::clone(&self.small), self.cfg.clone(), b),
-                    _ => BatchRequest::dense(Arc::clone(&self.big), b),
+                    _ => BatchRequest::dense(Arc::clone(self.big.matrix()), b),
                 }
             })
             .collect()
     }
 
-    /// Warms every cache the serving paths touch: decompositions (whole and sharded),
-    /// plans, and operand fingerprints. Window composition is timing-dependent under
+    /// Warms every cache the serving paths touch: inline decompositions, plans, and
+    /// operand fingerprints. Window composition is timing-dependent under
     /// concurrency, and a group's plan is memoized per packed-output-width *bucket* —
     /// so the warmup submits each operand group at every size whose bucket a window
     /// could produce, leaving the concurrent run nothing to plan.
@@ -82,18 +83,14 @@ impl Workload {
             let mut gen = MatrixGenerator::seeded(0xFEED ^ k as u64);
             let mut batch = Vec::new();
             for _ in 0..k {
-                batch.push(BatchRequest::decomposed(
-                    Arc::clone(&self.big),
-                    self.cfg.clone(),
-                    gen.normal(64, 3, 0.0, 1.0),
-                ));
+                batch.push(self.big.request(gen.normal(64, 3, 0.0, 1.0)));
                 batch.push(BatchRequest::decomposed(
                     Arc::clone(&self.small),
                     self.cfg.clone(),
                     gen.normal(64, 3, 0.0, 1.0),
                 ));
                 batch.push(BatchRequest::dense(
-                    Arc::clone(&self.big),
+                    Arc::clone(self.big.matrix()),
                     gen.normal(64, 3, 0.0, 1.0),
                 ));
             }
@@ -110,7 +107,7 @@ fn outputs(responses: Vec<BatchResponse>) -> Vec<Matrix> {
         .collect()
 }
 
-/// The satellite stress test: ≥ 4 threads enqueueing mixed sharded/unsharded batches
+/// The satellite stress test: ≥ 4 threads enqueueing mixed banded/inline batches
 /// concurrently must be bitwise identical to sequential `submit`, and warm traffic must
 /// keep the prepare-once contract under contention.
 #[test]
@@ -167,7 +164,7 @@ fn concurrent_enqueue_matches_sequential_submit_bitwise() {
         }
     }
 
-    // Prepare-once under contention: the whole concurrent run, windows and shards and
+    // Prepare-once under contention: the whole concurrent run, windows and bands and
     // all, performed zero conversions, zero replans, and zero operand rescans.
     let prep_after = engine.prep_stats();
     assert_eq!(
@@ -192,18 +189,34 @@ fn concurrent_enqueue_matches_sequential_submit_bitwise() {
     assert!(stats.windows >= 1);
 }
 
-/// The executor-placement guarantee: many sharded batches — including concurrent ones —
+/// A named operand large enough that its banded groups run as one run of bands per
+/// executor worker: 512×256 at half density under 2:8+1:8 with 64-column panels crosses
+/// the engine's tiling threshold.
+fn tiled_generation(engine: &Arc<ExecutionEngine>) -> Arc<Generation> {
+    let store = WeightStore::new(Arc::clone(engine));
+    let a = MatrixGenerator::seeded(0x77).sparse_normal(512, 256, 0.5);
+    store
+        .register("tiled", a, TasdConfig::parse("2:8+1:8").unwrap())
+        .unwrap();
+    store.resolve("tiled").unwrap()
+}
+
+/// The executor-placement guarantee: many banded batches — including concurrent ones —
 /// reuse one lazily-spawned pool; nothing spawns per call.
 #[test]
-fn sharded_batches_share_one_executor_pool() {
-    let workload = Workload::new();
-    let engine = Arc::new(workload.engine());
+fn banded_batches_share_one_executor_pool() {
+    let engine = Arc::new(ExecutionEngine::builder().workers(THREADS).build());
+    let generation = tiled_generation(&engine);
+    let batch = |seed: u64| -> Vec<BatchRequest> {
+        let b = MatrixGenerator::seeded(seed).normal(256, 64, 0.0, 1.0);
+        vec![generation.request(b)]
+    };
     assert_eq!(engine.workers(), THREADS);
     assert_eq!(engine.pool_threads(), 0, "pool is lazy until the first job");
 
-    // Sequential sharded batches.
+    // Sequential banded batches.
     for t in 0..3 {
-        let _ = outputs(engine.submit(workload.requests(t, 6)));
+        let _ = outputs(engine.submit(batch(t)));
     }
     let spawned = engine.pool_threads();
     assert_eq!(
@@ -212,14 +225,14 @@ fn sharded_batches_share_one_executor_pool() {
         "workers − 1 resident threads, spawned once"
     );
 
-    // Concurrent sharded batches from every thread: still the same pool.
+    // Concurrent banded batches from every thread: still the same pool.
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let engine = Arc::clone(&engine);
-            let workload = &workload;
+            let batch = &batch;
             scope.spawn(move || {
-                for _ in 0..3 {
-                    let responses = engine.submit(workload.requests(t, 6));
+                for i in 0..3 {
+                    let responses = engine.submit(batch((t * 3 + i) as u64));
                     assert!(responses.iter().all(|r| r.output.is_ok()));
                 }
             });
@@ -228,24 +241,21 @@ fn sharded_batches_share_one_executor_pool() {
     assert_eq!(
         engine.pool_threads(),
         spawned,
-        "concurrent sharded batches must not grow the pool — per-call spawning is gone"
+        "concurrent banded batches must not grow the pool — per-call spawning is gone"
     );
 }
 
 /// Worker-count invariance through the builder seam: any pinned worker count produces
-/// bitwise-identical sharded results, and the count is captured at build time.
+/// bitwise-identical banded results, and the count is captured at build time.
 #[test]
 fn pinned_worker_counts_are_deterministic_and_result_invariant() {
-    let mut gen = MatrixGenerator::seeded(0x77);
-    let a = Arc::new(gen.sparse_normal(96, 48, 0.85));
-    let b = gen.normal(48, 5, 0.0, 1.0);
-    let cfg = TasdConfig::parse("2:8+1:8").unwrap();
+    let b = MatrixGenerator::seeded(0x78).normal(256, 64, 0.0, 1.0);
     let mut baseline: Option<Matrix> = None;
     for workers in [1usize, 2, 3, 8] {
         let engine = Arc::new(ExecutionEngine::builder().workers(workers).build());
         assert_eq!(engine.workers(), workers);
-        let sharded = engine.prepare_sharded(&a, &cfg, &ShardPolicy::TargetShards(6));
-        let c = engine.series_gemm_sharded(&sharded, &b).unwrap();
+        let generation = tiled_generation(&engine);
+        let c = outputs(engine.submit(vec![generation.request(b.clone())])).remove(0);
         match &baseline {
             None => baseline = Some(c),
             Some(expected) => assert_eq!(expected, &c, "workers={workers} diverged"),

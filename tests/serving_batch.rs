@@ -115,63 +115,96 @@ proptest! {
     }
 }
 
+/// The whole-operand inline twin of `request`: same weights, config and panel, no bands.
+fn inline(request: &BatchRequest) -> BatchRequest {
+    match &request.config {
+        Some(config) => {
+            BatchRequest::decomposed(Arc::clone(&request.a), config.clone(), request.b.clone())
+        }
+        None => BatchRequest::dense(Arc::clone(&request.a), request.b.clone()),
+    }
+}
+
 #[test]
-fn mixed_batches_route_only_oversized_groups_through_shards() {
-    use tasd::ShardPolicy;
-    // One operand above the shard threshold (96 rows), one below (16 rows), plus a dense
-    // request on the big operand (dense groups never shard). Grouping, fairness, and
-    // cache accounting must all hold with sharding in play, and every response must be
-    // bitwise identical to an unsharded engine's.
+fn mixed_batches_run_only_named_groups_by_band() {
+    use tasd::WeightStore;
+    // A named operand (96 rows: two bands), a small inline operand, a dense request on
+    // the named weights, and the named weights again as an inline operand. Only the
+    // generation's requests run by band: they group together, never touch the cache,
+    // and answer bitwise as the whole-operand path does.
     let mut gen = MatrixGenerator::seeded(0x51AB);
-    let big = Arc::new(gen.sparse_normal(96, 48, 0.9));
-    let small = Arc::new(gen.sparse_normal(16, 48, 0.6));
     let cfg = TasdConfig::parse("2:8").unwrap();
+    let engine = Arc::new(ExecutionEngine::builder().build());
+    let store = WeightStore::new(Arc::clone(&engine));
+    store
+        .register("big", gen.sparse_normal(96, 48, 0.9), cfg.clone())
+        .unwrap();
+    let big = store.resolve("big").unwrap();
+    let small = Arc::new(gen.sparse_normal(16, 48, 0.6));
     let build_batch = |gen: &mut MatrixGenerator| {
         vec![
-            BatchRequest::decomposed(Arc::clone(&big), cfg.clone(), gen.normal(48, 4, 0.0, 1.0)),
+            big.request(gen.normal(48, 4, 0.0, 1.0)),
             BatchRequest::decomposed(Arc::clone(&small), cfg.clone(), gen.normal(48, 2, 0.0, 1.0)),
-            BatchRequest::decomposed(Arc::clone(&big), cfg.clone(), gen.normal(48, 1, 0.0, 1.0)),
-            BatchRequest::dense(Arc::clone(&big), gen.normal(48, 3, 0.0, 1.0)),
+            big.request(gen.normal(48, 1, 0.0, 1.0)),
+            BatchRequest::dense(Arc::clone(big.matrix()), gen.normal(48, 3, 0.0, 1.0)),
+            BatchRequest::decomposed(
+                Arc::clone(big.matrix()),
+                cfg.clone(),
+                gen.normal(48, 2, 0.0, 1.0),
+            ),
         ]
     };
-    let engine = ExecutionEngine::builder()
-        .shard_policy(ShardPolicy::TargetShards(3))
-        .shard_min_rows(64)
-        .build();
     let plain = ExecutionEngine::builder().build();
 
     let batch = build_batch(&mut gen);
-    let (responses, telemetry) = engine.submit_with_telemetry(batch.clone());
-    // Grouping is unchanged by sharding: both decomposed big requests share one group.
-    assert_eq!(telemetry.groups.len(), 3);
-    assert_eq!(responses[0].group, responses[2].group);
-    assert_ne!(responses[0].group, responses[1].group);
+    let twins: Vec<BatchRequest> = batch.iter().map(inline).collect();
+    let (responses, telemetry) = engine.submit_with_telemetry(batch);
+    assert_eq!(telemetry.groups.len(), 4);
+    assert_eq!(
+        responses[0].group, responses[2].group,
+        "one generation, one group"
+    );
+    assert_ne!(
+        responses[0].group, responses[4].group,
+        "the inline twin groups apart"
+    );
     assert_ne!(responses[0].group, responses[3].group);
     assert!(telemetry.max_queue_delay() <= telemetry.fairness_cap);
-    // Cold cache accounting: 3 shard misses for the big group + 1 for the small group.
-    assert_eq!(telemetry.cache_misses, 4);
-    assert_eq!(engine.cache_stats().entries, 4);
-    for (resp, plain_resp) in responses.iter().zip(plain.submit(batch)) {
+    // Cold cache accounting: the two inline decomposed groups miss; the banded group
+    // never looks.
+    assert_eq!(telemetry.cache_misses, 2);
+    assert_eq!(engine.cache_stats().entries, 2);
+    let banded = &telemetry.groups[responses[0].group.unwrap()];
+    assert!(!banded.decomposed && !banded.cache_hit);
+    assert_eq!(banded.fingerprint, big.store_fingerprint());
+    for (resp, plain_resp) in responses.iter().zip(plain.submit(twins)) {
         assert_eq!(
             resp.output.as_ref().unwrap(),
             plain_resp.output.as_ref().unwrap(),
-            "request {} diverged from the unsharded engine",
+            "request {} diverged from the whole-operand path",
             resp.index
         );
     }
 
-    // Warm batch: per-shard hits for the sharded group, one hit for the small group,
-    // nothing for the dense group; fairness bound still honored.
+    // Warm batch: one hit per inline decomposed group, nothing else touches the cache.
     let (responses, telemetry) = engine.submit_with_telemetry(build_batch(&mut gen));
     assert!(responses.iter().all(|r| r.output.is_ok()));
     assert_eq!(telemetry.decompositions, 0);
-    assert_eq!(telemetry.cache_hits, 4, "3 shard hits + 1 whole-matrix hit");
+    assert_eq!(telemetry.cache_hits, 2);
     assert_eq!(telemetry.cache_misses, 0);
-    assert!(telemetry.groups.iter().all(|g| !g.decomposed));
-    assert!(telemetry.max_queue_delay() <= telemetry.fairness_cap);
-    // The decomposed groups report cache hits; the dense group never does.
-    assert!(responses[0].cache_hit && responses[1].cache_hit && responses[2].cache_hit);
-    assert!(!responses[3].cache_hit);
+    assert!(responses[1].cache_hit && responses[4].cache_hit);
+    assert!(!responses[0].cache_hit && !responses[3].cache_hit);
+
+    // A banded request whose operand was replaced after building runs inline on the
+    // new operand, never on the generation's stale bands.
+    let mut swapped = big.request(gen.normal(48, 2, 0.0, 1.0));
+    swapped.a = Arc::new(gen.sparse_normal(96, 48, 0.9));
+    let expected = plain.submit(vec![inline(&swapped)]);
+    let got = engine.submit(vec![swapped]);
+    assert_eq!(
+        got[0].output.as_ref().unwrap(),
+        expected[0].output.as_ref().unwrap()
+    );
 }
 
 #[test]
