@@ -159,7 +159,7 @@
 //!   same ascending-column order whether a kernel sees the whole operand or one band,
 //!   and every band term is packed for the backend the whole operand's shape selects.
 //!
-//! `tests/banding.rs` locks this down across backends, sparsities, ragged and empty
+//! `tests/sharding.rs` locks this down across backends, sparsities, ragged and empty
 //! bands, and worker counts.
 //!
 //! # Sizing `cache_capacity` from telemetry

@@ -201,10 +201,11 @@ fn tiled_generation(engine: &Arc<ExecutionEngine>) -> Arc<Generation> {
     store.resolve("tiled").unwrap()
 }
 
-/// The executor-placement guarantee: many banded batches — including concurrent ones —
-/// reuse one lazily-spawned pool; nothing spawns per call.
+/// The executor-placement guarantee: many sharded batches (a generation's requests run
+/// as runs of its 64-row bands across the workers) — including concurrent ones — reuse
+/// one lazily-spawned pool; nothing spawns per call.
 #[test]
-fn banded_batches_share_one_executor_pool() {
+fn sharded_batches_share_one_executor_pool() {
     let engine = Arc::new(ExecutionEngine::builder().workers(THREADS).build());
     let generation = tiled_generation(&engine);
     let batch = |seed: u64| -> Vec<BatchRequest> {

@@ -1,13 +1,14 @@
-//! Banding correctness + stress suite: a named operand's generation, prepared and
-//! executed as fixed 64-row bands, must answer **bitwise identically** to the whole
-//! operand's prepared series — across every backend, sparsity, ragged last band, empty
-//! band, worker count, and the batched `submit` path — and its bands must account every
-//! row and non-zero exactly once.
+//! Sharding correctness + stress suite: a named operand's generation is row-sharded
+//! into fixed 64-row bands (the shards its `DeployReport::{dirty_shards, total_shards}`
+//! count), and executing those bands must be **bitwise identical** to executing the
+//! whole operand's prepared series — across every backend, sparsity, shard count, ragged
+//! last band, empty band, worker count, and the batched `submit` path — and its
+//! telemetry must account every row and non-zero exactly once.
 //!
 //! Why bitwise (not approx) is the right bar: the greedy N:M decomposition constrains
 //! blocks *along* rows and every GEMM kernel accumulates each output row's stored
 //! entries in ascending-column order, so splitting rows into bands changes neither what
-//! is computed nor the order it is accumulated in. Anything weaker would let banding
+//! is computed nor the order it is accumulated in. Anything weaker would let sharding
 //! silently change serving results.
 //!
 //! The worker-count test pins 1, 2, 4 and 8 executor workers with
@@ -102,7 +103,7 @@ proptest! {
     /// Random shapes (one to four bands, mostly ragged) × the sparsity grid, on the
     /// density-driven default engine.
     #[test]
-    fn banded_equals_whole_bitwise(
+    fn sharded_equals_unsharded_bitwise(
         m in 1usize..=200,
         k in 1usize..=64,
         width in 1usize..=8,
@@ -118,22 +119,28 @@ proptest! {
     }
 }
 
+/// The shard-count grid: row counts giving one ragged band, one full band, two bands
+/// with a ragged tail, and three full bands plus a ragged 8-row one.
+const ROW_COUNTS: [usize; 4] = [40, 64, 100, 200];
+
 #[test]
-fn every_backend_agrees_across_the_sparsity_grid() {
+fn every_backend_agrees_across_the_sparsity_and_shard_grids() {
     let cfg = TasdConfig::parse("2:8+1:8").unwrap();
     for (label, engine) in engines() {
         let mut gen = MatrixGenerator::seeded(0x5A4D);
         for sparsity in SPARSITIES {
-            // Three full bands and a ragged 8-row one.
-            let a = gen.sparse_normal(200, 48, sparsity);
-            let b = gen.normal(48, 6, 0.0, 1.0);
-            assert_banded_matches(label, &engine, &a, &cfg, &b);
+            for rows in ROW_COUNTS {
+                let a = gen.sparse_normal(rows, 48, sparsity);
+                let b = gen.normal(48, 6, 0.0, 1.0);
+                let generation = assert_banded_matches(label, &engine, &a, &cfg, &b);
+                assert_eq!(generation.bands().len(), rows.div_ceil(BAND_ROWS));
+            }
         }
     }
 }
 
 #[test]
-fn ragged_last_band_covers_every_row() {
+fn ragged_row_splits_cover_every_row() {
     // 130 rows: bands of 64, 64, and 2 rows.
     let mut gen = MatrixGenerator::seeded(0xA66ED);
     let a = gen.sparse_normal(130, 40, 0.9);
@@ -146,7 +153,7 @@ fn ragged_last_band_covers_every_row() {
 }
 
 #[test]
-fn empty_bands_of_all_zero_row_blocks_are_exact() {
+fn empty_shards_of_all_zero_row_blocks_are_exact() {
     // Rows 64..192 are all zero: the middle bands decompose to empty series and must
     // contribute exactly zero rows, bitwise.
     let mut gen = MatrixGenerator::seeded(0xE0);
@@ -167,26 +174,48 @@ fn empty_bands_of_all_zero_row_blocks_are_exact() {
 }
 
 #[test]
-fn bands_account_every_row_and_nonzero_exactly_once() {
+fn telemetry_accounts_every_row_and_nonzero_exactly_once() {
     let mut gen = MatrixGenerator::seeded(0x7E1E);
     let a = gen.sparse_normal(300, 48, 0.8);
     let cfg = TasdConfig::parse("2:8+1:8").unwrap();
+    let b = gen.normal(48, 6, 0.0, 1.0);
     let engine = Arc::new(ExecutionEngine::builder().build());
-    let generation = generation(&engine, &a, &cfg);
+    let store = WeightStore::new(Arc::clone(&engine));
+    let report = store.register("w", a.clone(), cfg.clone()).unwrap();
+    let generation = store.resolve("w").unwrap();
     let whole = engine.prepare_shared(&Arc::new(a), &cfg);
+    let shards = 300usize.div_ceil(BAND_ROWS);
+
+    // The deploy report accounts every row and every band of a register.
+    assert_eq!((report.dirty_rows, report.total_rows), (300, 300));
+    assert_eq!((report.dirty_shards, report.total_shards), (shards, shards));
+    assert_eq!(report.prepares, shards as u64, "one decomposition per band");
+
+    // The bands cover every row once and hold every non-zero once.
     let rows: usize = generation.bands().iter().map(|s| s.shape().0).sum();
     let nnz: usize = generation.bands().iter().map(|s| s.nnz()).sum();
-    assert_eq!(generation.bands().len(), 300usize.div_ceil(BAND_ROWS));
+    assert_eq!(generation.bands().len(), shards);
     assert_eq!(rows, 300, "bands cover every row once");
     assert_eq!(
         nnz,
         whole.nnz(),
         "summed band nnz equals the operand's series nnz"
     );
+
+    // The batch telemetry costs the banded group exactly as the whole operand.
+    let (responses, telemetry) = engine.submit_with_telemetry(vec![generation.request(b)]);
+    assert!(responses[0].output.is_ok());
+    assert_eq!(telemetry.groups.len(), 1);
+    assert_eq!(
+        telemetry.groups[0].plan_cost,
+        whole.nnz() as u64 * 6,
+        "plan cost is the summed band nnz times the panel width"
+    );
+    assert_eq!(telemetry.total_plan_cost(), telemetry.groups[0].plan_cost);
 }
 
 #[test]
-fn warm_banded_submit_never_converts_replans_rescans_or_looks_up() {
+fn warm_sharded_submit_never_converts_replans_or_rescans() {
     let mut gen = MatrixGenerator::seeded(0x5B);
     let a = gen.sparse_normal(128, 64, 0.9);
     let cfg = TasdConfig::parse("2:8+1:8").unwrap();
@@ -215,7 +244,7 @@ fn warm_banded_submit_never_converts_replans_rescans_or_looks_up() {
 }
 
 #[test]
-fn banded_execution_is_worker_count_invariant() {
+fn sharded_execution_is_worker_count_invariant() {
     // Ten bands, wide enough panels that every multi-worker engine runs them as one run
     // of bands per worker.
     let mut gen = MatrixGenerator::seeded(0xC0DE);
