@@ -7,10 +7,8 @@
 //! `M − 1` comparators plus M small value/index registers, while a PE is a fused
 //! multiply-accumulate plus operand registers.
 
-use serde::{Deserialize, Serialize};
-
 /// Gate-equivalent cost model for the datapath building blocks (32-bit datapath).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Gate equivalents of one 32-bit magnitude comparator.
     pub comparator_ge: f64,

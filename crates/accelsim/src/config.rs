@@ -2,12 +2,11 @@
 //! memory hierarchy and the same amount of PEs to ensure a fair comparison").
 
 use crate::energy::EnergyModel;
-use serde::{Deserialize, Serialize};
 
 /// The common accelerator configuration: PE-array geometry, clock, memory hierarchy, and
 /// energy constants. Individual [`crate::HwDesign`]s change *how* they use these resources,
 /// not how many they have.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorConfig {
     /// Number of TASD tensor cores (TTCs) or equivalent sub-arrays.
     pub num_cores: usize,

@@ -1,11 +1,10 @@
 //! The hardware designs compared in the paper (Table 3 plus the appendix ablation).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tasd::PatternMenu;
 
 /// A hardware design point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HwDesign {
     /// Dense tensor core (TC): no sparsity support.
     DenseTc,

@@ -5,10 +5,8 @@
 //! the *relative* ordering — DRAM ≫ L2 SMEM > L1 SMEM > RF ≳ MAC — which determines where
 //! data reuse pays off and how much skipping ineffectual compute helps.
 
-use serde::{Deserialize, Serialize};
-
 /// Energy cost (picojoules) of one access / operation at each level of the design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// One 32-bit DRAM access.
     pub dram_pj: f64,

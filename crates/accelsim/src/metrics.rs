@@ -1,10 +1,9 @@
 //! Per-layer and per-network performance/energy metrics.
 
-use serde::{Deserialize, Serialize};
 use std::ops::Add;
 
 /// Energy consumed at each level of the design, in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// DRAM access energy.
     pub dram: f64,
@@ -55,7 +54,7 @@ impl Add for EnergyBreakdown {
 }
 
 /// Simulation result for one layer on one design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerMetrics {
     /// Layer name.
     pub name: String,
@@ -96,7 +95,7 @@ impl LayerMetrics {
 }
 
 /// Aggregated metrics for a whole network on one design.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkMetrics {
     /// Design label these metrics belong to.
     pub design: String,
@@ -160,7 +159,7 @@ impl NetworkMetrics {
 }
 
 /// Ratio helpers for "normalized to the dense TC" reporting used by every figure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NormalizedMetrics {
     /// Latency relative to the baseline (lower is better).
     pub latency: f64,

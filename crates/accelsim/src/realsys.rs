@@ -9,11 +9,10 @@
 //! non-GEMM layers TASD does not touch. Speedup therefore grows with the number of layers
 //! converted and saturates Amdahl-style — the shape of Fig. 16.
 
-use serde::{Deserialize, Serialize};
 use tasd_dnn::NetworkSpec;
 
 /// GPU execution-model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuModel {
     /// Sustained dense tensor-core throughput in MACs per nanosecond (RTX-3080 class at
     /// FP16 ≈ 60 TMAC/s → 60 000 MACs/ns; real kernels reach roughly half of peak).
@@ -79,7 +78,7 @@ impl Default for GpuModel {
 
 /// One point of the Fig. 16 sweep: convert the `num_layers` layers with the largest dense
 /// MAC counts to 2:4 TASD-W and report the resulting speedup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RealSystemPoint {
     /// Number of layers running with 2:4 TASD-W weights.
     pub num_tasd_layers: usize,

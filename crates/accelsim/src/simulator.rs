@@ -13,7 +13,6 @@ use crate::config::AcceleratorConfig;
 use crate::designs::HwDesign;
 use crate::metrics::{EnergyBreakdown, LayerMetrics, NetworkMetrics};
 use crate::workload::{LayerRun, OperandSide};
-use rayon::prelude::*;
 
 /// Fraction of peak PE utilization an unstructured (DSTC-like) design sustains once load
 /// imbalance across rows/columns of a random sparse operand is accounted for (§2.3).
@@ -142,14 +141,14 @@ pub fn simulate_layer(
     }
 }
 
-/// Simulates every layer of a network (in parallel) and aggregates the results.
+/// Simulates every layer of a network and aggregates the results.
 pub fn simulate_network(
     design: HwDesign,
     config: &AcceleratorConfig,
     runs: &[LayerRun],
 ) -> NetworkMetrics {
     let layers: Vec<LayerMetrics> = runs
-        .par_iter()
+        .iter()
         .map(|run| simulate_layer(design, config, run))
         .collect();
     NetworkMetrics {

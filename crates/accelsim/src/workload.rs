@@ -1,6 +1,5 @@
 //! Per-layer workload descriptions consumed by the simulator.
 
-use serde::{Deserialize, Serialize};
 use tasd::{ExecutionEngine, MatmulPlan, TasdConfig};
 use tasd_dnn::LayerSpec;
 
@@ -10,7 +9,7 @@ use tasd_dnn::LayerSpec;
 /// For weight-sparse workloads (TASD-W) the weights are the decomposed operand; for
 /// dense-weight workloads with sparse activations (TASD-A) the activations are. The paper
 /// never exploits both sides at once (§5.1), and neither does this model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OperandSide {
     /// The weight tensor is the skipped/decomposed operand (TASD-W).
     Weights,
@@ -20,7 +19,7 @@ pub enum OperandSide {
 
 /// One GEMM layer as the accelerator sees it: dimensions, operand densities, and the TASD
 /// configuration (if any) chosen for the decomposed side.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerRun {
     /// Layer name, carried through to reports.
     pub name: String,

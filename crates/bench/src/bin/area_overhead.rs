@@ -2,12 +2,11 @@
 //! (comparator-tree model standing in for the paper's RTL synthesis).
 
 use tasd_accelsim::area::{tasd_units_required, ttc_vegeta_overhead, AreaModel};
-use tasd_bench::{print_table, write_json};
+use tasd_bench::print_table;
 
 fn main() {
     let model = AreaModel::standard();
     let mut rows = Vec::new();
-    let mut data = Vec::new();
     for m in [4usize, 8, 16] {
         let units = tasd_units_required(2, m);
         let overhead = model.tasd_overhead_fraction(256, units, m);
@@ -18,7 +17,6 @@ fn main() {
             format!("{:.0}", model.pe_ge()),
             format!("{:.2}%", overhead * 100.0),
         ]);
-        data.push((m, units, overhead));
     }
     print_table(
         "TASD-unit area overhead per 256-PE TTC (comparator-tree model)",
@@ -35,6 +33,4 @@ fn main() {
         "\npaper configuration (M=8, 16 units): {:.2}% of PE-array area (paper reports <= 2%)",
         ttc_vegeta_overhead(&model, 8) * 100.0
     );
-    write_json("area_overhead", &data);
-    println!("(wrote results/area_overhead.json)");
 }

@@ -1,7 +1,7 @@
 //! Figure 6: per-layer weight and activation sparsity degrees of the 95 % unstructured
 //! sparse ResNet-50 (SparseZoo-like profile).
 
-use tasd_bench::{print_table, write_json, EXPERIMENT_SEED};
+use tasd_bench::{print_table, EXPERIMENT_SEED};
 use tasd_models::representative::Workload;
 
 fn main() {
@@ -29,17 +29,4 @@ fn main() {
         spec.overall_weight_sparsity() * 100.0,
         spec.num_layers()
     );
-    let data: Vec<(String, f64, f64)> = spec
-        .layers
-        .iter()
-        .map(|l| {
-            (
-                l.name.clone(),
-                l.weight_sparsity,
-                l.input_activation_sparsity,
-            )
-        })
-        .collect();
-    write_json("fig06_layer_sparsity", &data);
-    println!("(wrote results/fig06_layer_sparsity.json)");
 }

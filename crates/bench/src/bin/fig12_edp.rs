@@ -5,13 +5,12 @@
 use tasd_accelsim::{simulate_layer, AcceleratorConfig, HwDesign};
 use tasd_bench::{
     improvement_pct, layer_runs, normalize_against_tc, print_table, run_main_comparison,
-    write_json, EXPERIMENT_SEED,
+    EXPERIMENT_SEED,
 };
 use tasd_models::representative::{find_layer_by_dims, representative_layers, Workload};
 use tasder::Tasder;
 
 fn main() {
-    let mut all = Vec::new();
     let mut geomeans: Vec<(String, Vec<f64>)> = Vec::new();
     for workload in Workload::all() {
         let results = run_main_comparison(workload, 1);
@@ -47,7 +46,6 @@ fn main() {
             }
             geomeans[i].1.push(r.edp_normalized);
         }
-        all.push((workload.label().to_string(), normalized));
     }
 
     let geo_rows: Vec<Vec<String>> = geomeans
@@ -62,9 +60,6 @@ fn main() {
         &["design", "EDP (norm.)"],
         &geo_rows,
     );
-
-    write_json("fig12_edp", &all);
-    println!("\n(wrote results/fig12_edp.json)");
 }
 
 /// Prints normalized EDP for the three representative layers of Table 4 on TC vs

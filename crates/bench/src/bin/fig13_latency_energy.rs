@@ -1,11 +1,10 @@
 //! Figure 13: normalized latency and energy (separately) for the four workloads on the six
 //! hardware designs.
 
-use tasd_bench::{normalize_against_tc, print_table, run_main_comparison, write_json};
+use tasd_bench::{normalize_against_tc, print_table, run_main_comparison};
 use tasd_models::representative::Workload;
 
 fn main() {
-    let mut all = Vec::new();
     let mut geo: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
     for workload in Workload::all() {
         let results = run_main_comparison(workload, 1);
@@ -35,7 +34,6 @@ fn main() {
             geo[i].1.push(r.latency_normalized);
             geo[i].2.push(r.energy_normalized);
         }
-        all.push((workload.label().to_string(), normalized));
     }
     let geo_rows: Vec<Vec<String>> = geo
         .iter()
@@ -49,6 +47,4 @@ fn main() {
         &["design", "latency (norm.)", "energy (norm.)"],
         &geo_rows,
     );
-    write_json("fig13_latency_energy", &all);
-    println!("\n(wrote results/fig13_latency_energy.json)");
 }

@@ -4,7 +4,7 @@
 
 use tasd::ExecutionEngine;
 use tasd::{PatternMenu, TasdConfig};
-use tasd_bench::{print_table, write_json, EXPERIMENT_SEED};
+use tasd_bench::{print_table, EXPERIMENT_SEED};
 use tasd_dnn::calibration::CalibrationProfile;
 use tasd_dnn::ProxyAccuracyModel;
 use tasd_models::representative::Workload;
@@ -15,7 +15,6 @@ fn main() {
     let quality = ProxyAccuracyModel::new(0.761);
     weight_side(quality);
     activation_side(quality);
-    println!("\n(wrote results/fig14_tasd_w.json and results/fig14_tasd_a.json)");
 }
 
 /// Network-wise sweeps of every single-term N:M configuration, for M in {4, 8, 16}.
@@ -28,7 +27,6 @@ fn uniform_configs(m: usize) -> Vec<TasdConfig> {
 fn weight_side(quality: ProxyAccuracyModel) {
     let spec = Workload::SparseResNet50.network(EXPERIMENT_SEED);
     let mut rows = Vec::new();
-    let mut data = Vec::new();
     for m in [4usize, 8, 16] {
         for cfg in uniform_configs(m) {
             let t = tasd_w::apply_uniform(
@@ -50,12 +48,6 @@ fn weight_side(quality: ProxyAccuracyModel) {
                 }
                 .to_string(),
             ]);
-            data.push((
-                format!("network-wise N:{m}"),
-                cfg.to_string(),
-                t.approximated_sparsity(&spec),
-                t.estimated_accuracy(),
-            ));
         }
     }
     // Layer-wise TASDER point.
@@ -75,12 +67,6 @@ fn weight_side(quality: ProxyAccuracyModel) {
         }
         .to_string(),
     ]);
-    data.push((
-        "layer-wise N:8".to_string(),
-        "per-layer".to_string(),
-        lw.approximated_sparsity(&spec),
-        lw.estimated_accuracy(),
-    ));
     print_table(
         "TASD-W on sparse ResNet-50: accuracy vs approximated sparsity",
         &[
@@ -92,14 +78,12 @@ fn weight_side(quality: ProxyAccuracyModel) {
         ],
         &rows,
     );
-    write_json("fig14_tasd_w", &data);
 }
 
 fn activation_side(quality: ProxyAccuracyModel) {
     let spec = Workload::DenseResNet50.network(EXPERIMENT_SEED);
     let profile = CalibrationProfile::synthetic(&spec, 8, EXPERIMENT_SEED);
     let mut rows = Vec::new();
-    let mut data = Vec::new();
     for m in [4usize, 8, 16] {
         for cfg in uniform_configs(m) {
             let t = tasd_a::apply_uniform(
@@ -122,12 +106,6 @@ fn activation_side(quality: ProxyAccuracyModel) {
                 }
                 .to_string(),
             ]);
-            data.push((
-                format!("network-wise N:{m}"),
-                cfg.to_string(),
-                t.approximated_sparsity(&spec),
-                t.estimated_accuracy(),
-            ));
         }
     }
     let tasder = Tasder::new(PatternMenu::vegeta_m8(), 2)
@@ -146,12 +124,6 @@ fn activation_side(quality: ProxyAccuracyModel) {
         }
         .to_string(),
     ]);
-    data.push((
-        "layer-wise N:8".to_string(),
-        "per-layer".to_string(),
-        lw.approximated_sparsity(&spec),
-        lw.estimated_accuracy(),
-    ));
     print_table(
         "TASD-A on dense ResNet-50: accuracy vs approximated sparsity",
         &[
@@ -163,5 +135,4 @@ fn activation_side(quality: ProxyAccuracyModel) {
         ],
         &rows,
     );
-    write_json("fig14_tasd_a", &data);
 }

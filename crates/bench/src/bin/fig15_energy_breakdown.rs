@@ -3,7 +3,7 @@
 
 use tasd::TasdConfig;
 use tasd_accelsim::{simulate_layer, AcceleratorConfig, HwDesign, LayerRun, OperandSide};
-use tasd_bench::{print_table, write_json, EXPERIMENT_SEED};
+use tasd_bench::{print_table, EXPERIMENT_SEED};
 use tasd_models::representative::{find_layer_by_dims, representative_layers, Workload};
 
 fn main() {
@@ -51,6 +51,4 @@ fn main() {
         "\nenergy saving over dense TC: {:.1}%",
         (1.0 - ttc.energy_pj() / tc.energy_pj()) * 100.0
     );
-    write_json("fig15_energy_breakdown", &(tc, ttc));
-    println!("(wrote results/fig15_energy_breakdown.json)");
 }

@@ -4,7 +4,7 @@
 
 use tasd::{ExecutionEngine, TasdConfig};
 use tasd_accelsim::realsys::{sweep_tasd_layers, GpuModel};
-use tasd_bench::{print_table, write_json, EXPERIMENT_SEED};
+use tasd_bench::{print_table, EXPERIMENT_SEED};
 use tasd_dnn::ProxyAccuracyModel;
 use tasd_models::profiles::sparse_model;
 use tasder::tasd_w;
@@ -30,7 +30,6 @@ fn main() {
 
     let sweep = sweep_tasd_layers(&gpu, &spec, batch);
     let mut rows = Vec::new();
-    let mut data = Vec::new();
     for point in &sweep {
         // Accuracy when the first `point.num_tasd_layers` layers (by MAC order) are 2:4.
         let damage: Vec<_> = (0..spec.num_layers())
@@ -51,7 +50,6 @@ fn main() {
                 format!("{:.2}%", (quality.base_accuracy - acc) * 100.0),
             ]);
         }
-        data.push((point.num_tasd_layers, point.improvement_pct, acc));
     }
     print_table(
         "Sparse ResNet-34 on RTX-3080-class GPU: speedup & accuracy vs #TASD-W (2:4) layers",
@@ -63,6 +61,4 @@ fn main() {
         ],
         &rows,
     );
-    write_json("fig16_realsys", &data);
-    println!("\n(wrote results/fig16_realsys.json)");
 }

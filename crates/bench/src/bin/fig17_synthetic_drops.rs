@@ -2,7 +2,7 @@
 //! original density of a 128×128 synthetic matrix, for 1/2/3-term TASD series.
 
 use tasd::analysis::{appendix_a_configs, drop_analysis, ValueDistribution};
-use tasd_bench::{print_table, write_json, EXPERIMENT_SEED};
+use tasd_bench::{print_table, EXPERIMENT_SEED};
 
 fn main() {
     let densities = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.75];
@@ -66,6 +66,4 @@ fn main() {
         ],
         &urows,
     );
-    write_json("fig17_synthetic_drops", &points);
-    println!("\n(wrote results/fig17_synthetic_drops.json)");
 }

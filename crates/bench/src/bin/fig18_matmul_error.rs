@@ -3,7 +3,7 @@
 //! unstructured-sparse 256×256 operands under N:4 and N:8 configurations.
 
 use tasd::analysis::matmul_error_analysis;
-use tasd_bench::{print_table, write_json, EXPERIMENT_SEED};
+use tasd_bench::{print_table, EXPERIMENT_SEED};
 
 fn main() {
     let points = matmul_error_analysis(256, &[0.2, 0.8], &[4, 8], EXPERIMENT_SEED);
@@ -28,6 +28,4 @@ fn main() {
         ],
         &rows,
     );
-    write_json("fig18_matmul_error", &points);
-    println!("\n(wrote results/fig18_matmul_error.json)");
 }

@@ -6,7 +6,7 @@
 use tasd::ExecutionEngine;
 use tasd::{PatternMenu, TasdConfig};
 use tasd_accelsim::{simulate_network, AcceleratorConfig, HwDesign};
-use tasd_bench::{dense_layer_runs, layer_runs, print_table, write_json, EXPERIMENT_SEED};
+use tasd_bench::{dense_layer_runs, layer_runs, print_table, EXPERIMENT_SEED};
 use tasd_dnn::NetworkSpec;
 use tasd_models::profiles::{dense_model_with_activation_sparsity, sparse_model};
 use tasd_models::{resnet, transformer};
@@ -14,7 +14,6 @@ use tasder::{tasd_w, Tasder};
 
 fn main() {
     let config = AcceleratorConfig::standard();
-    let mut all = Vec::new();
     let mut rows = Vec::new();
     for (label, spec, structured) in model_variants() {
         let tc = simulate_network(
@@ -68,19 +67,12 @@ fn main() {
         let base_edp = tc.edp();
         let norm = |m: &tasd_accelsim::NetworkMetrics| m.edp() / base_edp;
         rows.push(vec![
-            label.clone(),
+            label,
             format!("{:.3}", norm(&dstc)),
             format!("{:.3}", norm(&vegeta)),
             format!("{:.3}", norm(&vegeta_tasder)),
             format!("{:.3}", norm(&ttc)),
         ]);
-        all.push((
-            label,
-            norm(&dstc),
-            norm(&vegeta),
-            norm(&vegeta_tasder),
-            norm(&ttc),
-        ));
     }
     print_table(
         "Normalized EDP (vs dense TC): DSTC / VEGETA / VEGETA+TASDER / TTC-VEGETA+TASDER",
@@ -93,8 +85,6 @@ fn main() {
         ],
         &rows,
     );
-    write_json("fig19_ablation", &all);
-    println!("\n(wrote results/fig19_ablation.json)");
 }
 
 /// The six model variants of Fig. 19: {ResNet-50, BERT} × {dense, unstructured-pruned,

@@ -3,7 +3,7 @@
 //! ConvNeXt-Tiny, ViT-B/16), each under the 99 % accuracy-retention constraint.
 
 use tasd::PatternMenu;
-use tasd_bench::{print_table, write_json, EXPERIMENT_SEED};
+use tasd_bench::{print_table, EXPERIMENT_SEED};
 use tasd_models::profiles::{dense_model_with_activation_sparsity, sparse_model};
 use tasder::Tasder;
 
@@ -12,7 +12,6 @@ fn main() {
 
     // --- TASD-W on unstructured sparse models (SparseZoo-like, ~93% overall). ---
     let mut w_rows = Vec::new();
-    let mut w_data = Vec::new();
     let mut w_geo = Vec::new();
     for name in ["vgg11", "vgg16", "resnet18", "resnet34"] {
         let base = tasd_models::by_name(name).expect("model exists");
@@ -25,7 +24,6 @@ fn main() {
             format!("{:.1}%", t.mac_reduction(&spec) * 100.0),
             format!("{}", t.meets_quality_threshold()),
         ]);
-        w_data.push((name.to_string(), normalized));
         w_geo.push(normalized);
     }
     w_rows.push(vec![
@@ -42,7 +40,6 @@ fn main() {
 
     // --- TASD-A on dense models. ---
     let mut a_rows = Vec::new();
-    let mut a_data = Vec::new();
     let mut a_geo = Vec::new();
     for name in ["vgg16", "resnet18", "resnet50", "convnext-tiny", "vit-b-16"] {
         let base = tasd_models::by_name(name).expect("model exists");
@@ -55,7 +52,6 @@ fn main() {
             format!("{:.1}%", t.mac_reduction(&spec) * 100.0),
             format!("{}", t.meets_quality_threshold()),
         ]);
-        a_data.push((name.to_string(), normalized));
         a_geo.push(normalized);
     }
     a_rows.push(vec![
@@ -69,9 +65,6 @@ fn main() {
         &["model", "MACs (norm.)", "MAC reduction", "meets 99%?"],
         &a_rows,
     );
-
-    write_json("fig20_mac_reduction", &(w_data, a_data));
-    println!("\n(wrote results/fig20_mac_reduction.json)");
 }
 
 fn geomean(values: &[f64]) -> f64 {

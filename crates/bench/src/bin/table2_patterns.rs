@@ -2,7 +2,7 @@
 //! over its native {1:8, 2:8, 4:8} menu is allowed.
 
 use tasd::PatternMenu;
-use tasd_bench::{print_table, write_json};
+use tasd_bench::print_table;
 
 fn main() {
     let menu = PatternMenu::vegeta_m8();
@@ -53,6 +53,4 @@ fn main() {
             &rows,
         );
     }
-    write_json("table2_patterns", &table);
-    println!("\n(wrote results/table2_patterns.json)");
 }

@@ -2,11 +2,10 @@
 //! support, TASD term limits, and relative area.
 
 use tasd_accelsim::HwDesign;
-use tasd_bench::{print_table, write_json};
+use tasd_bench::print_table;
 
 fn main() {
     let mut rows = Vec::new();
-    let mut data = Vec::new();
     for design in HwDesign::main_comparison()
         .into_iter()
         .chain(std::iter::once(HwDesign::Vegeta))
@@ -29,16 +28,10 @@ fn main() {
             });
         rows.push(vec![
             design.label().to_string(),
-            menu.clone(),
+            menu,
             design.max_tasd_terms().to_string(),
             format!("{:.2}x", design.relative_area()),
         ]);
-        data.push((
-            design.label().to_string(),
-            menu,
-            design.max_tasd_terms(),
-            design.relative_area(),
-        ));
     }
     print_table(
         "Hardware designs (sparsity support, TASD term limit, relative area)",
@@ -50,6 +43,4 @@ fn main() {
         ],
         &rows,
     );
-    write_json("table3_designs", &data);
-    println!("\n(wrote results/table3_designs.json)");
 }

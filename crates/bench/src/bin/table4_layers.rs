@@ -1,11 +1,10 @@
 //! Table 4: the representative layers of each workload and their GEMM dimensions.
 
-use tasd_bench::{print_table, write_json, EXPERIMENT_SEED};
+use tasd_bench::{print_table, EXPERIMENT_SEED};
 use tasd_models::representative::{find_layer_by_dims, representative_layers, Workload};
 
 fn main() {
     let mut rows = Vec::new();
-    let mut data = Vec::new();
     for workload in Workload::all() {
         let spec = workload.network(EXPERIMENT_SEED);
         for rep in representative_layers(workload) {
@@ -15,9 +14,8 @@ fn main() {
                 workload.label().to_string(),
                 rep.label.to_string(),
                 format!("M{m}-N{n}-K{k}"),
-                name.clone(),
+                name,
             ]);
-            data.push((workload.label().to_string(), rep.label, rep.gemm_dims, name));
         }
     }
     print_table(
@@ -25,6 +23,4 @@ fn main() {
         &["workload", "layer", "GEMM dims", "model layer"],
         &rows,
     );
-    write_json("table4_layers", &data);
-    println!("\n(wrote results/table4_layers.json)");
 }

@@ -7,7 +7,6 @@
 
 #![warn(missing_docs)]
 
-use serde::Serialize;
 use tasd::ExecutionEngine;
 use tasd_accelsim::{
     simulate_network, AcceleratorConfig, HwDesign, LayerRun, NetworkMetrics, OperandSide,
@@ -58,7 +57,7 @@ pub fn dense_layer_runs(
 }
 
 /// Result of simulating one workload on one design, with everything the figures need.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DesignResult {
     /// Design label (paper naming).
     pub design: String,
@@ -150,28 +149,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Writes any serializable result to `results/<name>.json` (creating the directory), so
-/// figures can be re-plotted without re-running the simulation.
-///
-/// In the offline shim build (`crates/compat/serde_json`) serialization is stubbed: this
-/// degrades to a warning and the binaries' stdout tables remain the primary output.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("warning: could not create results/ directory; skipping JSON output");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
-    }
-}
-
 /// Formats a ratio as the percentage improvement the paper quotes ("improves EDP by 83%"
 /// means the normalized EDP is 0.17).
 pub fn improvement_pct(normalized: f64) -> f64 {
@@ -232,11 +209,11 @@ pub mod testing {
 /// Machine-readable bench results: the `BENCH_<name>.json` files at the repository root
 /// that track the performance trajectory across PRs.
 ///
-/// The offline `serde_json` shim cannot serialize, so this module writes its (flat,
-/// known-shape) JSON by hand. Each record is `{name, config, ns_per_iter}` — benchmark
-/// identity, workload description, and best-observed wall-clock per iteration — plus
-/// an optional `gflops` throughput field for kernel benches that declare their flop
-/// count ([`BenchRecorder::measure_flops`]).
+/// This is the workspace's one JSON writer, and it writes its flat, known-shape records
+/// by hand. Each record is `{name, config, ns_per_iter}` — benchmark identity, workload
+/// description, and best-observed wall-clock per iteration — plus an optional `gflops`
+/// throughput field for kernel benches that declare their flop count
+/// ([`BenchRecorder::measure_flops`]).
 pub mod bench_json {
     use std::io::Write;
     use std::path::PathBuf;

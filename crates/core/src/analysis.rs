@@ -8,11 +8,10 @@
 use crate::config::TasdConfig;
 use crate::decompose::decompose;
 use crate::series::series_gemm;
-use serde::{Deserialize, Serialize};
 use tasd_tensor::{gemm, relative_frobenius_error, MatrixGenerator, NmPattern};
 
 /// Value distribution used to synthesize test matrices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueDistribution {
     /// Non-zeros drawn uniformly from `[0, 1)`.
     Uniform,
@@ -22,7 +21,7 @@ pub enum ValueDistribution {
 }
 
 /// One data point of the drop-fraction study (paper Fig. 17).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DropAnalysisPoint {
     /// Density of the original synthetic matrix (1 - sparsity).
     pub original_density: f64,
@@ -73,7 +72,7 @@ pub fn drop_analysis(
 }
 
 /// One data point of the matrix-multiplication error study (paper Fig. 18).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatmulErrorPoint {
     /// Unstructured sparsity degree of the original operand `A`.
     pub a_sparsity: f64,

@@ -6,11 +6,10 @@
 //! 5:8 = 4:8 + 1:8), which is how the paper reaches 7 of the 8 possible N:8 patterns.
 
 use crate::config::TasdConfig;
-use serde::{Deserialize, Serialize};
 use tasd_tensor::NmPattern;
 
 /// The set of N:M patterns a hardware design supports natively, all sharing one block size.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternMenu {
     m: usize,
     /// Natively supported N values, sorted ascending, deduplicated.
@@ -174,7 +173,7 @@ impl PatternMenu {
 
 /// One row of the pattern-composition table: a target N:M pattern and how (or whether) it
 /// can be served by a TASD series over the menu's native patterns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComposedPattern {
     /// The target effective pattern.
     pub target: NmPattern,

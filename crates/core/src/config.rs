@@ -1,6 +1,5 @@
 //! TASD series configurations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 use tasd_tensor::{NmPattern, TensorError};
@@ -23,7 +22,7 @@ use tasd_tensor::{NmPattern, TensorError};
 /// assert_eq!(cfg.kept_density(), 0.75);
 /// assert_eq!(cfg.approximated_sparsity(), 0.25);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TasdConfig {
     terms: Vec<NmPattern>,
 }

@@ -37,7 +37,6 @@ use super::deploy::Banded;
 use super::prepared::PreparedSeries;
 use super::{ExecutionEngine, MatmulPlan};
 use crate::config::TasdConfig;
-use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -252,7 +251,7 @@ impl BatchResponse {
 }
 
 /// Per-group serving telemetry (one entry per operand group, indexed by group id).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupTelemetry {
     /// Content fingerprint of the group's shared operand (for a banded group, its
     /// generation's store fingerprint).
@@ -274,7 +273,7 @@ pub struct GroupTelemetry {
 }
 
 /// Whole-batch serving telemetry from [`ExecutionEngine::submit_with_telemetry`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchTelemetry {
     /// Requests submitted.
     pub requests: usize,

@@ -2,8 +2,7 @@
 
 use super::prepared::PreparedSeries;
 use crate::config::TasdConfig;
-use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Cache key: a 64-bit content fingerprint of the matrix
@@ -64,18 +63,8 @@ pub struct DecompositionCache {
     misses: u64,
     insertions: u64,
     evictions: u64,
+    /// Sum of the resident entries' `bytes`.
     bytes_resident: usize,
-    /// Reference counts of resident prepared-series *allocations*, keyed by `Arc`
-    /// pointer. `bytes_resident` charges each allocation once however many keys alias
-    /// it — two keys resolving to the same prepared series share storage, so counting
-    /// both would overstate the footprint.
-    resident_allocs: HashMap<usize, ResidentAlloc>,
-}
-
-#[derive(Debug)]
-struct ResidentAlloc {
-    refs: usize,
-    bytes: usize,
 }
 
 impl DecompositionCache {
@@ -92,38 +81,6 @@ impl DecompositionCache {
             insertions: 0,
             evictions: 0,
             bytes_resident: 0,
-            resident_allocs: HashMap::new(),
-        }
-    }
-
-    /// Charges `prepared`'s bytes to `bytes_resident` iff its allocation is not already
-    /// resident under another key.
-    fn acquire_bytes(&mut self, prepared: &Arc<PreparedSeries>) {
-        let alloc = self
-            .resident_allocs
-            .entry(Arc::as_ptr(prepared) as usize)
-            .or_insert_with(|| ResidentAlloc {
-                refs: 0,
-                bytes: prepared.storage_bytes(),
-            });
-        alloc.refs += 1;
-        if alloc.refs == 1 {
-            self.bytes_resident += alloc.bytes;
-        }
-    }
-
-    /// Releases one key's claim on `prepared`'s allocation, un-charging the bytes when
-    /// the last aliasing key is gone.
-    fn release_bytes(&mut self, prepared: &Arc<PreparedSeries>) {
-        let key = Arc::as_ptr(prepared) as usize;
-        let alloc = self
-            .resident_allocs
-            .get_mut(&key)
-            .expect("released allocation must be resident");
-        alloc.refs -= 1;
-        if alloc.refs == 0 {
-            self.bytes_resident -= alloc.bytes;
-            self.resident_allocs.remove(&key);
         }
     }
 
@@ -159,7 +116,7 @@ impl DecompositionCache {
                 .map(|(k, _)| k.clone())
             {
                 if let Some(evicted) = self.entries.remove(&lru) {
-                    self.release_bytes(&evicted.prepared);
+                    self.bytes_resident -= evicted.bytes;
                     self.evictions += 1;
                 }
             }
@@ -167,7 +124,7 @@ impl DecompositionCache {
         let bytes = prepared.storage_bytes();
         let packed_bytes = prepared.packed_bytes();
         self.insertions += 1;
-        self.acquire_bytes(&prepared);
+        self.bytes_resident += bytes;
         if let Some(replaced) = self.entries.insert(
             key,
             CacheEntry {
@@ -178,7 +135,7 @@ impl DecompositionCache {
                 packed_bytes,
             },
         ) {
-            self.release_bytes(&replaced.prepared);
+            self.bytes_resident -= replaced.bytes;
         }
     }
 
@@ -243,30 +200,13 @@ impl DecompositionCache {
     /// Drops every cached series (counters are preserved; resident bytes go to zero).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.resident_allocs.clear();
         self.bytes_resident = 0;
-    }
-
-    /// `bytes_resident` plus the bytes of every allocation in `extra` this cache does
-    /// not already hold, each counted once — the footprint of the cache together with
-    /// prepared series held elsewhere (a weight store's bands).
-    pub(crate) fn bytes_resident_with(&self, extra: &[Arc<PreparedSeries>]) -> usize {
-        let mut seen = HashSet::new();
-        let extra: usize = extra
-            .iter()
-            .filter(|p| {
-                let key = Arc::as_ptr(p) as usize;
-                !self.resident_allocs.contains_key(&key) && seen.insert(key)
-            })
-            .map(|p| p.storage_bytes())
-            .sum();
-        self.bytes_resident + extra
     }
 }
 
 /// Counters describing cache behaviour, from
 /// [`ExecutionEngine::cache_stats`](super::ExecutionEngine::cache_stats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that returned a cached series.
     pub hits: u64,
@@ -281,10 +221,9 @@ pub struct CacheStats {
     /// Resident series displaced to make room for newer ones.
     pub evictions: u64,
     /// Storage footprint of every resident prepared series, in bytes — the compressed
-    /// terms plus their packed execution formats. Deduped by allocation: when two keys
-    /// alias the same prepared series, the shared storage is charged exactly once. Per-entry
-    /// [`CacheEntryStats::bytes`] still report each entry's full footprint, so their sum
-    /// can exceed this figure when aliases are resident.
+    /// terms plus their packed execution formats: the sum of the per-entry
+    /// [`CacheEntryStats::bytes`]. Each key holds its own allocation (a racing insert
+    /// adopts the resident copy), so nothing is counted twice.
     pub bytes_resident: usize,
 }
 
@@ -302,7 +241,7 @@ impl CacheStats {
 
 /// Per-entry counters of one resident series, from
 /// [`DecompositionCache::entry_stats`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheEntryStats {
     /// Content fingerprint of the decomposed matrix.
     pub fingerprint: u64,
@@ -438,34 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn aliased_allocations_are_charged_once() {
-        // Regression: the same prepared series resident under two keys shares one
-        // allocation — `bytes_resident` must charge it once, and keep charging it until
-        // the *last* aliasing key is gone.
-        let mut cache = DecompositionCache::new(4);
-        let shared = series();
-        let per_entry = shared.storage_bytes();
-        cache.insert(key(1), Arc::clone(&shared));
-        cache.insert(key(2), Arc::clone(&shared)); // same allocation
-        assert_eq!(cache.stats().entries, 2);
-        assert_eq!(
-            cache.stats().bytes_resident,
-            per_entry,
-            "aliased entries must not double-count shared storage"
-        );
-        // Per-entry stats still report each entry's full footprint.
-        assert!(cache.entry_stats().iter().all(|e| e.bytes == per_entry));
-        // Replacing one alias with a fresh allocation releases only that claim.
-        cache.insert(key(2), series());
-        assert_eq!(cache.stats().bytes_resident, 2 * per_entry);
-        // Replacing the last alias releases the shared allocation's bytes.
-        cache.insert(key(1), series());
-        assert_eq!(cache.stats().bytes_resident, 2 * per_entry);
-        cache.clear();
-        assert_eq!(cache.stats().bytes_resident, 0);
-    }
-
-    #[test]
     fn insert_or_get_keeps_the_first_resident_copy() {
         // Two threads racing on one cold key both prepare; the first insert must win and
         // the loser must adopt the winner's allocation — no replacement churn, no
@@ -492,25 +403,6 @@ mod tests {
         let kept = off.insert_or_get(key(2), Arc::clone(&mine));
         assert!(Arc::ptr_eq(&kept, &mine));
         assert_eq!(off.stats().entries, 0);
-    }
-
-    #[test]
-    fn bytes_resident_with_counts_each_allocation_once() {
-        // A weight store's bands join the cache's footprint in the `Stats` frame: an
-        // allocation the cache holds, or one listed twice, must be charged once.
-        let mut cache = DecompositionCache::new(4);
-        let cached = series();
-        let per_entry = cached.storage_bytes();
-        cache.insert(key(1), Arc::clone(&cached));
-        assert_eq!(cache.bytes_resident_with(&[]), per_entry);
-        let band = series();
-        let extra = [Arc::clone(&cached), Arc::clone(&band), band];
-        assert_eq!(cache.bytes_resident_with(&extra), 2 * per_entry);
-        assert_eq!(
-            cache.stats().bytes_resident,
-            per_entry,
-            "the cache itself is unchanged"
-        );
     }
 
     #[test]

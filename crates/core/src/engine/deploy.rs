@@ -8,10 +8,10 @@
 //! 1. **Row diff** — every generation keeps a per-row content hash; a pushed matrix is
 //!    re-hashed row by row and diffed against the resident generation, so the store
 //!    knows exactly which rows changed.
-//! 2. **Zobrist fingerprint** — the store-level fingerprint of an operand is an XOR
-//!    fold of position-mixed row hashes, so a push updates it *incrementally*: XOR out
-//!    the dirty rows' old terms, XOR in their new ones, O(dirty) instead of O(rows)
-//!    (and independently verifiable by refolding from scratch).
+//! 2. **Zobrist fingerprint** — the store-level fingerprint of an operand is the XOR
+//!    fold of its position-mixed row hashes, folded once per deploy from the hashes
+//!    the row diff already computed (a band's fingerprint folds its own rows the same
+//!    way).
 //! 3. **Band-granular re-preparation** — a generation owns its prepared form as fixed
 //!    [`BAND_ROWS`]-row bands, each its own `Arc<PreparedSeries>`. A deploy decomposes
 //!    only the bands holding a changed row (every band for a new name or config) and
@@ -69,20 +69,13 @@ fn row_hashes(matrix: &Matrix) -> Vec<u64> {
         .collect()
 }
 
-/// The zobrist term of row `r`: its content hash mixed with its position, so swapping
-/// two rows' contents changes the fold even though the multiset of hashes is equal.
-fn zobrist_term(hash: u64, row: usize) -> u64 {
-    avalanche(hash ^ avalanche(row as u64 ^ M))
-}
-
-/// XOR fold of every row's zobrist term — the from-scratch form of the store
-/// fingerprint ([`Generation::store_fingerprint`]). Pushes maintain it incrementally;
-/// tests verify both forms agree.
+/// XOR fold of every row's content hash mixed with its position, so swapping two rows'
+/// contents changes the fold even though the multiset of hashes is equal — the store
+/// fingerprint ([`Generation::store_fingerprint`]).
 pub(crate) fn zobrist_fold(row_hashes: &[u64]) -> u64 {
-    row_hashes
-        .iter()
-        .enumerate()
-        .fold(0, |acc, (r, &h)| acc ^ zobrist_term(h, r))
+    row_hashes.iter().enumerate().fold(0, |acc, (r, &h)| {
+        acc ^ avalanche(h ^ avalanche(r as u64 ^ M))
+    })
 }
 
 /// The row ranges of an operand's bands: `[0, 64), [64, 128), …`, the last ragged.
@@ -157,7 +150,7 @@ impl Generation {
     }
 
     /// The zobrist-folded store fingerprint of this version (see the [module
-    /// docs](self)): a cheap whole-operand identity deploys maintain incrementally.
+    /// docs](self)): a whole-operand identity folded from the row hashes at deploy.
     pub fn store_fingerprint(&self) -> u64 {
         self.operand.fingerprint
     }
@@ -326,18 +319,22 @@ impl WeightStore {
             .map(Arc::clone)
     }
 
-    /// Prepared bytes resident for serving: the bands of every live generation and
-    /// restored operand plus the engine's prepared cache, each allocation counted once.
-    /// A superseded band stops counting once the store replaced it, and is freed once
-    /// the last in-flight request holding it completes.
+    /// Prepared bytes resident for serving: the engine's prepared cache plus the bands
+    /// of every live generation and restored operand. Bands never enter the cache and
+    /// each name owns its own, so the sum counts no allocation twice. A superseded band
+    /// stops counting once the store replaced it, and is freed once the last in-flight
+    /// request holding it completes.
     pub fn bytes_resident(&self) -> usize {
-        let bands: Vec<Arc<PreparedSeries>> = {
+        let bands: usize = {
             let state = lock_or_panic(&self.state, "weight store");
             let live = state.entries.values().map(|g| g.bands());
             let restored = state.restored.values().map(|s| s.bands.as_slice());
-            live.chain(restored).flatten().cloned().collect()
+            live.chain(restored)
+                .flatten()
+                .map(|band| band.storage_bytes())
+                .sum()
         };
-        lock_or_panic(&self.engine.cache, "prepared cache").bytes_resident_with(&bands)
+        self.engine.cache_stats().bytes_resident + bands
     }
 
     /// Registers (or wholesale replaces) `name` with `matrix` decomposed under
@@ -378,18 +375,7 @@ impl WeightStore {
         let (bands, prepares) = self.prepare_bands(&matrix, &config, &row_hashes, base)?;
         let total = bands.len();
         let rows = matrix.rows();
-        let store_fingerprint = zobrist_fold(&row_hashes);
-        let generation = self.install(name, |_| Generation {
-            name: name.to_string(),
-            number: 0,
-            row_hashes,
-            operand: Arc::new(Banded {
-                matrix,
-                config,
-                fingerprint: store_fingerprint,
-                bands,
-            }),
-        });
+        let generation = self.install(name, matrix, config, row_hashes, bands);
         Ok(DeployReport {
             generation,
             dirty_rows: rows,
@@ -445,11 +431,6 @@ impl WeightStore {
                 prepares: 0,
             });
         }
-        // Incremental zobrist update: XOR out the dirty rows' old terms, in the new.
-        // O(dirty rows); `zobrist_fold` from scratch is the cross-check (tested).
-        let incremental = dirty.iter().fold(base.store_fingerprint(), |acc, &r| {
-            acc ^ zobrist_term(base.row_hashes[r], r) ^ zobrist_term(row_hashes[r], r)
-        });
         // Preparation outside the store lock: the base's clean bands are shared, dirty
         // bands decompose. A panic here must not tear the store — the old generation
         // stays resolvable throughout.
@@ -460,29 +441,10 @@ impl WeightStore {
             &row_hashes,
             Some((&base.row_hashes, base.bands())),
         )?;
-        let generation = self.install(name, |resident| {
-            // A concurrent push may have raced us since `base` was read; the bands and
-            // row hashes are self-consistent either way (clean bands are clean against
-            // `base`, whose rows they hold), but the incremental fingerprint delta was
-            // taken against `base` — refold from scratch if the base moved underneath.
-            let store_fingerprint = if resident.is_some_and(|current| current.number != base.number)
-            {
-                zobrist_fold(&row_hashes)
-            } else {
-                incremental
-            };
-            Generation {
-                name: name.to_string(),
-                number: 0,
-                row_hashes,
-                operand: Arc::new(Banded {
-                    matrix,
-                    config,
-                    fingerprint: store_fingerprint,
-                    bands,
-                }),
-            }
-        });
+        // A concurrent push may have raced us since `base` was read; the bands, row
+        // hashes and fingerprint are self-consistent either way (clean bands are clean
+        // against `base`, whose rows they hold).
+        let generation = self.install(name, matrix, config, row_hashes, bands);
         Ok(DeployReport {
             generation,
             dirty_rows: dirty.len(),
@@ -493,20 +455,32 @@ impl WeightStore {
         })
     }
 
-    /// Installs the generation `build` makes from the resident one (if any) under the
-    /// store lock, numbering it with the next deploy counter value, and retires any
-    /// restored operand of the same name. Returns the new generation number.
+    /// Installs `matrix`, prepared as `bands` under `config`, as the generation of
+    /// `name`: folds its store fingerprint, then under the store lock numbers it with
+    /// the next deploy counter value and retires any restored operand of the same name.
+    /// Returns the new generation number.
     fn install(
         &self,
         name: &str,
-        build: impl FnOnce(Option<&Arc<Generation>>) -> Generation,
+        matrix: Arc<Matrix>,
+        config: TasdConfig,
+        row_hashes: Vec<u64>,
+        bands: Vec<Arc<PreparedSeries>>,
     ) -> u64 {
+        let operand = Arc::new(Banded {
+            matrix,
+            config,
+            fingerprint: zobrist_fold(&row_hashes),
+            bands,
+        });
         let mut state = lock_or_panic(&self.state, "weight store");
         state.generation += 1;
         let number = state.generation;
         let generation = Generation {
+            name: name.to_string(),
             number,
-            ..build(state.entries.get(name))
+            row_hashes,
+            operand,
         };
         state.entries.insert(name.to_string(), Arc::new(generation));
         state.restored.remove(name);
@@ -679,26 +653,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_fingerprint_matches_from_scratch_fold() {
-        let engine = engine();
-        let store = WeightStore::new(engine);
-        let mut gen = MatrixGenerator::seeded(14);
-        let a = gen.sparse_normal(48, 24, 0.6);
-        store.register("w", a.clone(), cfg()).unwrap();
-        let mut b = a.clone();
-        b[(0, 0)] = 42.0;
-        b[(47, 23)] = -7.5;
-        store.push("w", b.clone()).unwrap();
-        let resolved = store.resolve("w").unwrap();
-        let scratch = row_hashes(&b);
-        assert_eq!(
-            resolved.store_fingerprint(),
-            zobrist_fold(&scratch),
-            "incremental zobrist delta must equal the from-scratch fold"
-        );
+    fn zobrist_fold_changes_when_rows_swap() {
+        let a = MatrixGenerator::seeded(14).sparse_normal(2, 24, 0.6);
+        let hashes = row_hashes(&a);
         // Row *swaps* change the fingerprint even though the hash multiset is equal.
-        let swapped = zobrist_fold(&[scratch[1], scratch[0]]);
-        assert_ne!(swapped, zobrist_fold(&[scratch[0], scratch[1]]));
+        let swapped = zobrist_fold(&[hashes[1], hashes[0]]);
+        assert_ne!(swapped, zobrist_fold(&hashes));
     }
 
     #[test]

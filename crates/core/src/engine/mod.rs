@@ -235,10 +235,10 @@
 //!   per row, diffs against the resident generation, decomposes **only the bands
 //!   holding dirty rows** (the clean bands' `Arc`s are shared with the new
 //!   generation), and installs the new generation under a brief lock. A superseded
-//!   band is freed when the last in-flight window holding it completes. The
-//!   whole-operand store fingerprint is maintained zobrist-style — XOR out dirty rows'
-//!   old position-mixed hashes, XOR in the new — so it updates in O(dirty rows). Swap
-//!   semantics: [`resolve`](WeightStore::resolve) is a brief-lock `Arc` clone, so
+//!   band is freed when the last in-flight window holding it completes. Each
+//!   generation's store fingerprint is the XOR fold of its position-mixed row hashes
+//!   (zobrist-style), folded once per deploy from the hashes the diff already computed.
+//!   Swap semantics: [`resolve`](WeightStore::resolve) is a brief-lock `Arc` clone, so
 //!   *enqueue never blocks on a deploy*; in-flight requests keep the bands they
 //!   captured at enqueue and finish **bitwise-correct on the old version**, while
 //!   every post-swap enqueue sees the new one. A deploy that fails (shape mismatch,
@@ -334,7 +334,6 @@ use crate::decompose::decompose;
 use crate::series::TasdSeries;
 use cache::CacheKey;
 use executor::Job;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -344,15 +343,6 @@ use tasd_tensor::{Matrix, Result, TensorError};
 
 /// Default decomposition-cache capacity (series). Sized for one model's worth of layers.
 pub const DEFAULT_CACHE_CAPACITY: usize = 128;
-
-/// Default density at or above which a term runs on the cache-blocked dense kernel
-/// instead of a sparse one. Calibrated against `tasd-bench`'s `backends` bench on a 512³
-/// GEMM: the register-blocked dense kernel only overtakes the entry-iteration kernels
-/// near-dense (measured crossover between 0.75 and 1.0 density; at 0.5 the sparse kernels
-/// are ~1.5× faster), so the planner keeps sparse kernels until ~0.85. This constant is
-/// the *fallback* rule; the full measured (density × shape) → backend lookup is
-/// [`BackendTable::measured`].
-pub const DEFAULT_DENSE_DENSITY_THRESHOLD: f64 = 0.85;
 
 /// Estimated MACs at or above which a matmul's output rows are tiled across the
 /// executor's workers (2²¹ ≈ 2.1M); below it the job handoff outweighs the split.
@@ -371,9 +361,6 @@ const PLAN_MEMO_CAPACITY: usize = 4096;
 pub struct EngineBuilder {
     backend: Option<Arc<dyn GemmBackend>>,
     cache_capacity: usize,
-    dense_density_threshold: Option<f64>,
-    backend_table: Option<BackendTable>,
-    bench_json: Option<std::path::PathBuf>,
     fairness_cap: usize,
     fingerprint_memo_capacity: usize,
     workers: Option<usize>,
@@ -398,39 +385,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Pins the density at or above which terms run on the dense kernel, replacing the
-    /// measured [`BackendTable`] with the single-threshold rule
-    /// ([`BackendTable::from_threshold`]). An explicit [`backend_table`]
-    /// (EngineBuilder::backend_table) takes precedence.
-    #[must_use]
-    pub fn dense_density_threshold(mut self, threshold: f64) -> Self {
-        self.dense_density_threshold = Some(threshold);
-        self
-    }
-
-    /// Sets the (density × shape) → backend lookup table used for planning and for
-    /// packing prepared terms. Defaults to [`BackendTable::measured`].
-    #[must_use]
-    pub fn backend_table(mut self, table: BackendTable) -> Self {
-        self.backend_table = Some(table);
-        self
-    }
-
-    /// Install-time backend auto-tuning: derive the [`BackendTable`] from a
-    /// `BENCH_backends.json` recorded **on the deployment machine** (by
-    /// `cargo bench --bench backends`), so kernel crossovers reflect the target's cache
-    /// sizes and core counts instead of the reference container's. The file is parsed
-    /// at [`build`](Self::build) time via [`BackendTable::from_bench_json`]; when it is
-    /// absent, malformed, or carries no usable per-term samples, the engine falls back
-    /// to the explicit [`dense_density_threshold`](Self::dense_density_threshold) rule
-    /// (if one was set) or the checked-in [`BackendTable::measured`] table. An explicit
-    /// [`backend_table`](Self::backend_table) takes precedence over the file.
-    #[must_use]
-    pub fn auto_tune(mut self, bench_json: impl Into<std::path::PathBuf>) -> Self {
-        self.bench_json = Some(bench_json.into());
-        self
-    }
-
     /// Sets the batch scheduler's fairness cap: the maximum number of admission slots a
     /// request group can wait past its arrival rank before it is admitted regardless of
     /// plan cost (see the [module docs](self)). 0 means strict FIFO.
@@ -452,12 +406,13 @@ impl EngineBuilder {
     /// Pins the engine's executor worker count (clamped to at least 1). This is the
     /// number of threads every parallel job in the engine — the row tiles of large
     /// GEMMs and the band runs of named operands, from any number of concurrent callers
-    /// — shares; it is captured **once**, here, and never re-read from the environment
-    /// on the hot path.
-    /// Defaults to the available parallelism at build time (`rayon::current_num_threads`,
-    /// which honors `RAYON_NUM_THREADS`). `workers(1)` is the sequential engine: every
-    /// kernel runs whole on the calling thread, in program order. Pin it explicitly for
-    /// deterministic tests or to reserve cores for other tenants.
+    /// — shares; it is captured **once**, at build, and never re-read from the
+    /// environment on the hot path.
+    /// Defaults to the `TASD_WORKERS` environment variable when it holds a positive
+    /// integer, otherwise to [`std::thread::available_parallelism`], both read at build
+    /// time. `workers(1)` is the sequential engine: every kernel runs whole on the
+    /// calling thread, in program order. Pin it explicitly for deterministic tests or to
+    /// reserve cores for other tenants.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
@@ -485,20 +440,9 @@ impl EngineBuilder {
 
     /// Builds the engine.
     pub fn build(self) -> ExecutionEngine {
-        let backend_table = match (self.backend_table, self.dense_density_threshold) {
-            (Some(table), _) => table,
-            (None, threshold) => self
-                .bench_json
-                .as_deref()
-                .and_then(BackendTable::from_bench_json)
-                .unwrap_or_else(|| match threshold {
-                    Some(threshold) => BackendTable::from_threshold(threshold),
-                    None => BackendTable::measured(),
-                }),
-        };
         // The worker count is captured once, here — never re-read per call, so
         // placement never depends on when a GEMM runs.
-        let workers = self.workers.unwrap_or_else(rayon::current_num_threads);
+        let workers = self.workers.unwrap_or_else(default_workers);
         ExecutionEngine {
             backend_override: self.backend,
             backends: [
@@ -506,7 +450,7 @@ impl EngineBuilder {
                 Arc::new(CsrBackend::default()),
                 Arc::new(NmBackend::default()),
             ],
-            backend_table,
+            backend_table: BackendTable::measured(),
             fairness_cap: self.fairness_cap,
             cache: Mutex::new(DecompositionCache::new(self.cache_capacity)),
             plans: Mutex::new(PlanMemo::default()),
@@ -518,16 +462,31 @@ impl EngineBuilder {
     }
 }
 
+/// The executor worker count of an engine built without [`EngineBuilder::workers`].
+fn default_workers() -> usize {
+    resolve_workers(
+        std::env::var("TASD_WORKERS").ok().as_deref(),
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+    )
+}
+
+/// Applies a `TASD_WORKERS` value against the available parallelism (factored out of
+/// [`default_workers`] so tests need not mutate the process environment): a positive
+/// integer wins; unset, empty, non-numeric and `0` fall back to `available`.
+fn resolve_workers(requested: Option<&str>, available: usize) -> usize {
+    requested
+        .and_then(|value| value.parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(available)
+}
+
 impl Default for EngineBuilder {
     fn default() -> Self {
         EngineBuilder {
             backend: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            dense_density_threshold: None,
-            backend_table: None,
             fairness_cap: DEFAULT_FAIRNESS_CAP,
             fingerprint_memo_capacity: DEFAULT_FINGERPRINT_MEMO_CAPACITY,
-            bench_json: None,
             workers: None,
             faults: None,
         }
@@ -645,7 +604,7 @@ struct PrepCounters {
 /// These are the counters the prepare-once / execute-many contract is audited with: a
 /// delta taken around a warm (cache-hit) call must show zero `conversions`, zero
 /// `plans_computed`, and zero `fingerprint_scans`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrepStats {
     /// Series prepared (decomposed + packed) — one per decomposition-cache miss.
     pub prepares: u64,
@@ -1089,8 +1048,8 @@ impl ExecutionEngine {
         self.executor.pool_threads()
     }
 
-    /// The (density × shape) → backend table this engine plans and packs with (see
-    /// [`EngineBuilder::backend_table`] / [`EngineBuilder::auto_tune`]).
+    /// The (density × shape) → backend table this engine plans and packs with:
+    /// [`BackendTable::measured`].
     pub fn backend_table(&self) -> &BackendTable {
         &self.backend_table
     }
@@ -1619,13 +1578,6 @@ mod tests {
         // residual term crosses to the faster CSR kernel (large operand, d < 0.30).
         assert_eq!(plan.terms[0].backend, BackendKind::Nm);
         assert_eq!(plan.terms[1].backend, BackendKind::Csr);
-        // A pinned threshold replaces the table with the single-crossover rule.
-        let eager = ExecutionEngine::builder()
-            .dense_density_threshold(0.4)
-            .build();
-        let plan = eager.plan_dims(256, 512, 128, 1.0, Some(&cfg));
-        assert_eq!(plan.terms[0].backend, BackendKind::Dense);
-        assert_eq!(plan.terms[1].backend, BackendKind::Nm);
     }
 
     #[test]
@@ -1756,38 +1708,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_tune_derives_the_table_from_bench_json_with_fallbacks() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_backends.json");
-        let tuned = ExecutionEngine::builder().auto_tune(path).build();
-        // The derived CSR/N:M edge (≈ 0.17, from the recording's term sweeps) differs
-        // from the hand-rounded measured edge (0.30): at density 0.25 the tuned table
-        // keeps the structured kernel where the measured table would convert to CSR.
-        assert_eq!(
-            tuned.backend_table().choose(0.25, 512, 512),
-            BackendKind::Nm
-        );
-        assert_eq!(
-            BackendTable::measured().choose(0.25, 512, 512),
-            BackendKind::Csr
-        );
-        assert_eq!(
-            tuned.backend_table().choose(0.1, 512, 512),
-            BackendKind::Csr
-        );
-        // Absent file: fall back to the measured table.
-        let fallback = ExecutionEngine::builder()
-            .auto_tune("/nonexistent/BENCH_backends.json")
-            .build();
-        assert_eq!(*fallback.backend_table(), BackendTable::measured());
-        // ... or to the single-threshold rule when one was pinned explicitly.
-        let fallback = ExecutionEngine::builder()
-            .auto_tune("/nonexistent/BENCH_backends.json")
-            .dense_density_threshold(0.4)
-            .build();
-        assert_eq!(*fallback.backend_table(), BackendTable::from_threshold(0.4));
-    }
-
-    #[test]
     fn worker_count_is_captured_once_at_build() {
         let pinned = ExecutionEngine::builder().workers(3).build();
         assert_eq!(pinned.workers(), 3);
@@ -1797,6 +1717,15 @@ mod tests {
         // The default comes from the environment exactly once, at build time.
         let default = ExecutionEngine::builder().build();
         assert!(default.workers() >= 1);
+    }
+
+    #[test]
+    fn default_workers_resolve_tasd_workers_against_available_parallelism() {
+        assert_eq!(resolve_workers(None, 2), 2, "unset");
+        assert_eq!(resolve_workers(Some(""), 2), 2, "empty");
+        assert_eq!(resolve_workers(Some("four"), 2), 2, "non-numeric");
+        assert_eq!(resolve_workers(Some("0"), 2), 2, "zero");
+        assert_eq!(resolve_workers(Some("4"), 2), 4);
     }
 
     #[test]

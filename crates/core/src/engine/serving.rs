@@ -83,7 +83,6 @@ use super::clock::{Clock, MonotonicClock};
 use super::faults::FaultSite;
 use super::sync::{lock_or_panic, wait_or_panic};
 use super::ExecutionEngine;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -126,7 +125,7 @@ struct SessionState {
 }
 
 /// Point-in-time counters of one serving session, from [`ServingEngine::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServingStats {
     /// Requests accepted by [`enqueue`](ServingEngine::enqueue).
     pub enqueued: u64,

@@ -1,7 +1,6 @@
 //! The TASD series: a sum of compressed structured terms, and GEMM over it.
 
 use crate::config::TasdConfig;
-use serde::{Deserialize, Serialize};
 use tasd_tensor::{
     dropped_magnitude_fraction, dropped_nonzero_fraction, relative_frobenius_error, Matrix,
     NmCompressed, Result,
@@ -12,7 +11,7 @@ use tasd_tensor::{
 ///
 /// Produced by [`crate::decompose`]; consumed by [`series_gemm`] (software execution) and by
 /// the accelerator model (which costs each structured term separately).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TasdSeries {
     shape: (usize, usize),
     config: TasdConfig,
@@ -101,7 +100,7 @@ impl TasdSeries {
 }
 
 /// Quality metrics of a decomposition relative to the original matrix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecompositionReport {
     /// Configuration used.
     pub config: TasdConfig,

@@ -1,6 +1,5 @@
 //! Activation functions and their sparsity behaviour.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tasd_tensor::Matrix;
 
@@ -10,7 +9,7 @@ use tasd_tensor::Matrix;
 /// (ReLU family → unstructured activation sparsity, handled with the sparsity-degree
 /// heuristic) or not (GELU/Swish → dense activations, handled with the pseudo-density
 /// heuristic, paper §4.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Activation {
     /// No activation (e.g. the last layer, or an internal projection).
     #[default]

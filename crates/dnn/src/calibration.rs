@@ -8,7 +8,6 @@
 
 use crate::executable::Mlp;
 use crate::network::NetworkSpec;
-use serde::{Deserialize, Serialize};
 use tasd::ExecutionEngine;
 use tasd_tensor::stats::RunningStats;
 use tasd_tensor::{pseudo_density, sparsity_degree, Matrix, MatrixGenerator};
@@ -19,7 +18,7 @@ use tasd_tensor::{pseudo_density, sparsity_degree, Matrix, MatrixGenerator};
 pub const PSEUDO_DENSITY_PRESERVE: f64 = 0.95;
 
 /// Summary of one layer's input-activation behaviour over the calibration set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivationStats {
     /// Layer name.
     pub layer: String,
@@ -51,7 +50,7 @@ impl ActivationStats {
 
 /// The full calibration profile of a network: one [`ActivationStats`] per CONV/FC layer,
 /// in network order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationProfile {
     /// Per-layer statistics.
     pub layers: Vec<ActivationStats>,

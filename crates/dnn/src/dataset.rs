@@ -6,11 +6,10 @@
 //! model's accuracy does (monotone degradation as more signal is dropped), giving the
 //! TASDER selection algorithms a *true* accuracy metric to respect.
 
-use serde::{Deserialize, Serialize};
 use tasd_tensor::{Matrix, MatrixGenerator};
 
 /// A labelled synthetic classification dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyntheticDataset {
     features: Matrix,
     labels: Vec<usize>,

@@ -1,7 +1,6 @@
 //! Layer IR: CONV/FC layers and their GEMM lowering.
 
 use crate::activation::Activation;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tasd_tensor::Conv2dDims;
 
@@ -11,7 +10,7 @@ use tasd_tensor::Conv2dDims;
 /// execution time and both lower to matrix multiplication (paper §4.1). Attention
 /// projections and MLP blocks of Transformers are expressed as [`LayerKind::Linear`]
 /// layers with the appropriate `M` (token count) dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LayerKind {
     /// A 2-D convolution, lowered to GEMM through im2col.
     Conv2d(Conv2dDims),
@@ -71,7 +70,7 @@ impl LayerKind {
 
 /// A named CONV/FC layer within a network, together with the activation that follows it
 /// and the weight sparsity it was (notionally) pruned to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerSpec {
     /// Human-readable layer name (e.g. `"layer3.0.conv2"` or `"encoder.0.ffn.fc1"`).
     pub name: String,

@@ -1,7 +1,6 @@
 //! Network specifications: an ordered collection of CONV/FC layers.
 
 use crate::layer::LayerSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A network specification: the ordered CONV/FC layers of a model, with their geometry,
@@ -10,7 +9,7 @@ use std::fmt;
 /// A `NetworkSpec` is the unit TASDER optimizes over and the unit the accelerator model
 /// simulates. It does **not** hold weight values — materialize those with
 /// [`crate::WeightSet`] when an experiment needs actual tensors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkSpec {
     /// Model name (e.g. `"resnet50"`, `"bert-base"`).
     pub name: String,

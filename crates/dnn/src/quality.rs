@@ -7,15 +7,13 @@
 //! (drop more signal → lose more accuracy) and the cliff shape of the paper's Fig. 14.
 //! Exact accuracy remains available for small executable networks via `Mlp::accuracy`.
 
-use serde::{Deserialize, Serialize};
-
 /// The fraction of original accuracy a transformed model must keep to count as valid
 /// (99 %, following MLPerf and the paper's §5.1 criterion).
 pub const ACCURACY_RETENTION_THRESHOLD: f64 = 0.99;
 
 /// Per-layer approximation damage, as produced by applying a TASD configuration to that
 /// layer's weights or activations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerDamage {
     /// Fraction of the layer tensor's non-zeros dropped by the approximation (0–1).
     pub dropped_nonzero_fraction: f64,
@@ -49,7 +47,7 @@ impl LayerDamage {
 /// losing ≈2 % of their magnitude sit right at the 99 %-retention boundary, matching the
 /// behaviour of magnitude-pruned ImageNet CNNs under small structured perturbations and
 /// reproducing the flat-then-cliff shape of the paper's Fig. 14.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProxyAccuracyModel {
     /// Accuracy of the unmodified model (e.g. 0.761 for ResNet-50 top-1).
     pub base_accuracy: f64,

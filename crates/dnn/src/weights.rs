@@ -7,13 +7,11 @@
 //! baselines.
 
 use crate::network::NetworkSpec;
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use tasd_tensor::{magnitude_prune, sparsity_degree, Matrix, MatrixGenerator, NmPattern};
 
 /// How weight values are initialized before pruning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum WeightInit {
     /// Standard normal scaled by `1/sqrt(fan_in)` (Kaiming-style), the default.
     #[default]
@@ -23,7 +21,7 @@ pub enum WeightInit {
 }
 
 /// The pruning regime applied when materializing weights.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PruningRegime {
     /// Keep the layer's `weight_sparsity` from the spec via unstructured magnitude pruning.
     UnstructuredFromSpec,
@@ -55,7 +53,7 @@ impl WeightSet {
     ) -> Self {
         let entries: Vec<(String, Matrix)> = spec
             .layers
-            .par_iter()
+            .iter()
             .enumerate()
             .map(|(i, layer)| {
                 let (k, n) = layer.kind.weight_shape();

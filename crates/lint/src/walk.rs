@@ -73,7 +73,7 @@ mod tests {
             ..Config::default()
         };
         assert!(is_excluded("crates/compat", &config));
-        assert!(is_excluded("crates/compat/serde/src/lib.rs", &config));
+        assert!(is_excluded("crates/compat/rand/src/lib.rs", &config));
         assert!(!is_excluded("crates/compatible/src/lib.rs", &config));
         assert!(!is_excluded("crates/core/src/lib.rs", &config));
     }

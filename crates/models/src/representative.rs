@@ -1,10 +1,9 @@
 //! The paper's representative layers (Table 4) and workload definitions (§5.1).
 
-use serde::{Deserialize, Serialize};
 use tasd_dnn::NetworkSpec;
 
 /// The four workloads evaluated in the paper's main experiments (Fig. 12/13).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// Dense ResNet-50 from TorchVision (ReLU-based: dense weights, sparse activations).
     DenseResNet50,
@@ -71,7 +70,7 @@ impl Workload {
 }
 
 /// One representative layer from Table 4.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepresentativeLayer {
     /// Short label used in the per-layer bars of Fig. 12 ("L1", "L2", "L3").
     pub label: &'static str,

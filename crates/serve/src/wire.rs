@@ -315,8 +315,8 @@ pub struct StatsReport {
     pub serving: ServingStats,
     /// The weight store's deploy counter (0 when nothing was ever deployed).
     pub cache_generation: u64,
-    /// Resident prepared bytes: the weight store's live bands plus the engine's
-    /// decomposition cache (series + packed execution formats, deduped by allocation).
+    /// Resident prepared bytes: the weight store's live and restored bands plus the
+    /// engine's decomposition cache (series + packed execution formats).
     pub bytes_resident: u64,
     /// Whether the server started from an intact store snapshot (re-registering the
     /// snapshotted weights decomposes nothing).

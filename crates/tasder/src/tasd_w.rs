@@ -10,7 +10,6 @@
 //!   upgrading a layer only when the running quality estimate stays above 99 %.
 
 use crate::transform::{LayerAssignment, TasdSide, TasdTransform};
-use rayon::prelude::*;
 use tasd::{ExecutionEngine, PatternMenu, TasdConfig};
 use tasd_dnn::quality::LayerDamage;
 use tasd_dnn::{NetworkSpec, ProxyAccuracyModel};
@@ -53,11 +52,10 @@ fn sample_weights(spec: &NetworkSpec, layer_index: usize, seed: u64) -> Matrix {
     magnitude_prune(&dense, layer.weight_sparsity)
 }
 
-/// Evaluates the damage of every (layer, configuration) pair in parallel. Decompositions
-/// dispatch through `engine` as *prepared* series: evaluating the same layer sample
-/// under several configurations shares the cache across worker threads, re-runs of the
-/// optimizer (e.g. layer-wise after network-wise) skip re-decomposition entirely, and an
-/// engine shared with the serving path ([`Tasder::with_engine`](crate::Tasder::with_engine))
+/// Evaluates the damage of every (layer, configuration) pair, in order. Decompositions
+/// dispatch through `engine` as *prepared* series: re-runs of the optimizer (e.g.
+/// layer-wise after network-wise) skip re-decomposition entirely, and an engine
+/// shared with the serving path ([`Tasder::with_engine`](crate::Tasder::with_engine))
 /// comes out of candidate evaluation with its prepared cache already warm — the first
 /// serving batch against an optimizer-chosen configuration performs zero decompositions
 /// and zero format conversions.
@@ -71,7 +69,7 @@ pub fn evaluate_candidates(
         .flat_map(|li| configs.iter().cloned().map(move |c| (li, c)))
         .collect();
     pairs
-        .par_iter()
+        .iter()
         .map(|(li, config)| {
             let weights = sample_weights(spec, *li, seed);
             let series = engine.prepare(&weights, config);

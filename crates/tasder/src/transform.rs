@@ -1,12 +1,11 @@
 //! The result of a TASDER optimization: per-layer TASD assignments.
 
-use serde::{Deserialize, Serialize};
 use tasd::TasdConfig;
 use tasd_dnn::quality::{LayerDamage, ACCURACY_RETENTION_THRESHOLD};
 use tasd_dnn::{NetworkSpec, ProxyAccuracyModel};
 
 /// Which tensor of a layer the configuration applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TasdSide {
     /// Weight tensor (TASD-W, applied offline).
     Weights,
@@ -15,7 +14,7 @@ pub enum TasdSide {
 }
 
 /// The TASD decision for one layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerAssignment {
     /// Layer name.
     pub layer: String,
@@ -42,7 +41,7 @@ impl LayerAssignment {
 
 /// A full model transformation: one assignment per CONV/FC layer (network order), plus the
 /// quality model used to judge it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TasdTransform {
     /// Which side of every layer the transform decomposes.
     pub side: TasdSide,

@@ -7,7 +7,6 @@
 
 use crate::backend::simd::{self, SimdLevel};
 use crate::{Matrix, Result, TensorError};
-use serde::{Deserialize, Serialize};
 
 /// A compressed-sparse-row matrix of `f32` values.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(csr.nnz(), 2);
 /// assert_eq!(csr.to_dense(), dense);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
     cols: usize,

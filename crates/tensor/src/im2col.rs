@@ -6,10 +6,9 @@
 //! the accelerator model and the MAC-reduction experiments consume.
 
 use crate::{Matrix, Result, TensorError};
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a 2-D convolution layer (single image, NCHW layout).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Conv2dDims {
     /// Number of input channels.
     pub in_channels: usize,

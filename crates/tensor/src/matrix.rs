@@ -1,7 +1,6 @@
 //! Dense, row-major `f32` matrix.
 
 use crate::{Result, TensorError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
@@ -21,7 +20,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// assert_eq!(m[(1, 0)], 3.0);
 /// assert_eq!(m.transpose()[(0, 1)], 3.0);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

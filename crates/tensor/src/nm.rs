@@ -15,7 +15,6 @@
 //! input value lands in at most one term.
 
 use crate::{Matrix, Result, TensorError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fine-grained N:M structured sparsity pattern: at most `n` non-zeros in every block of
@@ -30,7 +29,7 @@ use std::fmt;
 /// assert_eq!(p.approximated_sparsity(), 0.5);
 /// assert_eq!(p.to_string(), "2:4");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NmPattern {
     n: usize,
     m: usize,

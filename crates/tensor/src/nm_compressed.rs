@@ -10,10 +10,9 @@
 use crate::backend::simd::{self, SimdLevel};
 use crate::nm::NmPattern;
 use crate::{Matrix, Result, TensorError};
-use serde::{Deserialize, Serialize};
 
 /// One stored entry of a compressed block: the value and its lane index within the block.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Entry {
     /// Column offset within the M-element block.
     lane: u8,
@@ -34,7 +33,7 @@ struct Entry {
 /// assert_eq!(c.nnz(), 3);
 /// assert_eq!(c.to_dense(), dense);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NmCompressed {
     rows: usize,
     cols: usize,
