@@ -37,7 +37,38 @@ fn parse<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &s
     }
 }
 
+/// Pins glibc's allocator to one arena; call it before any thread starts.
+///
+/// By default glibc gives each thread its own arena, and a freed buffer goes back to
+/// the arena of the thread that allocated it. Every request here crosses threads (the
+/// reader decodes the panel, the dispatcher and executor pack and multiply, the writer
+/// encodes the answer) and every push allocates a new weight matrix on the deploy
+/// connection's reader, so free space piles up in arenas whose own threads never
+/// allocate that size again, and the resident set grows over a run by an amount that
+/// differs from run to run. With one arena every thread reuses the same free space.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn single_malloc_arena() {
+    use std::ffi::c_int;
+    extern "C" {
+        fn mallopt(param: c_int, value: c_int) -> c_int;
+    }
+    /// `M_ARENA_MAX` from glibc's `malloc.h`.
+    const M_ARENA_MAX: c_int = -8;
+    // SAFETY: `mallopt` is glibc's documented tuning entry point, declared here with
+    // its C signature (`int mallopt(int, int)`). It takes two integers and touches
+    // only the allocator's own parameters, under the allocator's lock. `main` calls
+    // this before it spawns any thread, so no thread has chosen an arena yet and the
+    // limit applies to all of them.
+    unsafe {
+        mallopt(M_ARENA_MAX, 1);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn single_malloc_arena() {}
+
 fn main() -> ExitCode {
+    single_malloc_arena();
     let mut addr = "127.0.0.1:7474".to_string();
     let mut config = ServerConfig::default();
     let mut snapshot: Option<PathBuf> = None;
