@@ -2,7 +2,7 @@
 //! kernel sweep that populates the engine's `BackendTable`.
 //!
 //! This bench grounds the execution engine's backend-choice lookup
-//! (`tasd::BackendTable::measured`) in measured numbers. Two sections:
+//! (`tasd::BackendTable::MEASURED`) in measured numbers. Two sections:
 //!
 //! * **whole-operand kernels** — the original comparison: scalar reference, blocked
 //!   dense, CSR, and N:M on the same 512³ GEMM, plus the engine's planned path on one
@@ -12,7 +12,7 @@
 //!   term (2:8 of a 50%/90%-sparse operand) and execute the *same content* through the
 //!   native N:M kernel, the CSR kernel (CSR-packed), and the blocked dense kernel
 //!   (dense-packed). The winner per (density, shape) bucket is what
-//!   `BackendTable::measured` encodes — e.g. CSR-packing wins ~1.25× at density ≈ 0.10
+//!   `BackendTable::MEASURED` encodes — e.g. CSR-packing wins ~1.25× at density ≈ 0.10
 //!   on serving-sized terms, while mid-density terms stay N:M.
 //!
 //! Every measurement is recorded to `BENCH_backends.json` at the repository root
@@ -117,7 +117,7 @@ fn bench_whole_operand(rec: &mut BenchRecorder, sparsity: f64) {
 }
 
 /// The prepared-term sweep: one decomposed TASD term, three packings, same content —
-/// the measurement `BackendTable::measured` is populated from.
+/// the measurement `BackendTable::MEASURED` is populated from.
 fn bench_term_kernels(rec: &mut BenchRecorder, sparsity: f64, m: usize, k: usize, n_cols: usize) {
     let mut gen = MatrixGenerator::seeded(0x7E21);
     let a = gen.sparse_normal(m, k, sparsity);

@@ -182,7 +182,7 @@ fn pr2_baseline_submit(
         .series_gemm(series, &wide_b)
         .expect("consistent shapes");
     let widths: Vec<usize> = panels.iter().map(Matrix::cols).collect();
-    unpack_panels(&wide_c, &widths)
+    unpack_panels(wide_c, &widths)
 }
 
 /// The PR's acceptance gates (panic on regression); see the module docs for the list.

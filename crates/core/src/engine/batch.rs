@@ -1,4 +1,4 @@
-//! Batched serving: group, schedule, and execute many GEMM requests in one call.
+//! Batched serving: group and execute many GEMM requests in one call.
 //!
 //! [`ExecutionEngine::submit`] is the serving seam layered on the engine: callers hand it
 //! a whole batch of independent requests and get every result back at once, while the
@@ -15,27 +15,28 @@
 //!    *decomposed-operand fingerprint*: the key is `(operand fingerprint, operand shape,
 //!    decomposition config)` — exactly the decomposition cache's key, with "no
 //!    decomposition" as its own config value. Fingerprints come from the engine's
-//!    per-allocation memo, so a warm stream never rescans its operands. Every inline
-//!    group *prepares* its operand at most once per batch (and usually zero times, when
-//!    the prepared cache entry is already resident — a warm batch performs zero
-//!    decompositions, zero format conversions, and zero replans). Every group's
-//!    right-hand panels are packed column-wise so one pass over the operand serves every
-//!    member ([`pack_panels`](tasd_tensor::backend::pack_panels)).
-//! 2. **Scheduling** — groups are admitted shortest-plan-first by their summed
-//!    [`MatmulPlan`](super::MatmulPlan) cost estimates, with a fairness cap bounding how
-//!    many slots any group can be overtaken by (see [`admission_order`]).
-//! 3. **Telemetry** — [`BatchTelemetry`] reports per-group admission slots, queue delays,
-//!    plan costs, and the decomposition-cache deltas (hits, misses, decompositions
+//!    per-allocation memo, so a warm stream never rescans its operands.
+//! 2. **Execution** — groups run one after another in arrival order (a group's id is
+//!    its arrival rank). Each inline group *prepares* its operand at most once per batch
+//!    (and usually zero times, when the prepared cache entry is already resident — a
+//!    warm batch performs zero decompositions, zero format conversions, and zero
+//!    replans). Its members' right-hand panels are packed column-wise so one pass over
+//!    the operand serves every member
+//!    ([`pack_panels`](tasd_tensor::backend::pack_panels)); a one-member group's kernel
+//!    reads the request's own panel and writes the matrix its response returns. One
+//!    `catch_unwind` covers a group's preparation and kernel pass, so a panic in either
+//!    fails that group's members only.
+//! 3. **Telemetry** — [`BatchTelemetry`] reports each group's members, fingerprint and
+//!    cache outcome, and the decomposition-cache deltas (hits, misses, decompositions
 //!    performed, bytes resident), so deployments can size `cache_capacity` from data.
 //!
 //! Packing never changes the math: each output column accumulates in the same order as a
 //! one-at-a-time [`series_gemm`](ExecutionEngine::series_gemm) /
 //! [`gemm`](ExecutionEngine::gemm) call, so `submit` results are bitwise identical to the
-//! per-request path, under every admission ordering.
+//! per-request path.
 
 use super::deploy::Banded;
-use super::prepared::PreparedSeries;
-use super::{ExecutionEngine, MatmulPlan};
+use super::ExecutionEngine;
 use crate::config::TasdConfig;
 use std::any::Any;
 use std::collections::HashMap;
@@ -44,10 +45,6 @@ use std::sync::Arc;
 use std::time::Duration;
 use tasd_tensor::backend::{pack_panels, unpack_panels};
 use tasd_tensor::{Matrix, TensorError};
-
-/// Default fairness cap: a group is admitted at most this many slots after its arrival
-/// rank, however expensive its plan is (0 would mean strict FIFO).
-pub const DEFAULT_FAIRNESS_CAP: usize = 8;
 
 /// Why a request failed to produce an output — the serving layer's structured error
 /// taxonomy (see the "Failure semantics" section of the [engine module docs](super)).
@@ -226,10 +223,9 @@ pub struct BatchResponse {
     pub index: usize,
     /// The product, or the structured [`ServingError`] that failed the request.
     pub output: Result<Matrix, ServingError>,
-    /// Arrival-ranked id of the group this request executed with (`None` if it failed).
+    /// Arrival-ranked id of the group this request executed with (`None` if it was
+    /// rejected at admission or answered outside any window).
     pub group: Option<usize>,
-    /// Estimated effectual MACs of this request's plan (0 if it failed at admission).
-    pub plan_cost: u64,
     /// Whether this request's decomposition was served from the cache. `false` for dense
     /// requests, for requests carrying a generation's bands (those never touch the
     /// cache), and for the request batch that actually performed the decomposition.
@@ -237,20 +233,21 @@ pub struct BatchResponse {
 }
 
 impl BatchResponse {
-    /// A failed response carrying `error` and no execution metadata — what cancellation,
-    /// deadline expiry, queue rejection, shutdown, and panic containment deliver.
+    /// A failed response carrying `error` and no execution metadata — what admission
+    /// and queue rejection, cancellation, deadline expiry, shutdown, and panic
+    /// containment deliver.
     pub(crate) fn failed(index: usize, error: ServingError) -> Self {
         BatchResponse {
             index,
             output: Err(error),
             group: None,
-            plan_cost: 0,
             cache_hit: false,
         }
     }
 }
 
-/// Per-group serving telemetry (one entry per operand group, indexed by group id).
+/// Per-group serving telemetry (one entry per operand group, indexed by group id, which
+/// is the group's arrival rank).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupTelemetry {
     /// Content fingerprint of the group's shared operand (for a banded group, its
@@ -258,12 +255,6 @@ pub struct GroupTelemetry {
     pub fingerprint: u64,
     /// Request indices served by this group, in arrival order.
     pub members: Vec<usize>,
-    /// Summed plan-cost estimate (effectual MACs) of the group's packed execution.
-    pub plan_cost: u64,
-    /// Execution slot the scheduler admitted this group at (0 = first).
-    pub admitted_at: usize,
-    /// Slots this group waited past its arrival rank (bounded by the fairness cap).
-    pub queue_delay: usize,
     /// Whether this batch performed the group's decomposition (a cache miss). Always
     /// `false` for dense groups and banded groups (their bands were prepared at deploy).
     pub decomposed: bool,
@@ -282,8 +273,6 @@ pub struct BatchTelemetry {
     /// Requests that resolved to [`ServingError::KernelPanicked`] because their group's
     /// preparation or kernel pass panicked (contained per group; see the module docs).
     pub panicked: usize,
-    /// Fairness cap the scheduler ran with.
-    pub fairness_cap: usize,
     /// Per-group telemetry, indexed by arrival-ranked group id.
     pub groups: Vec<GroupTelemetry>,
     /// Decompositions actually performed during this batch (cache misses).
@@ -294,64 +283,6 @@ pub struct BatchTelemetry {
     pub cache_misses: u64,
     /// Bytes resident in the decomposition cache after the batch.
     pub bytes_resident: usize,
-}
-
-impl BatchTelemetry {
-    /// Largest queue delay any group experienced (what the fairness cap bounds).
-    pub fn max_queue_delay(&self) -> usize {
-        self.groups.iter().map(|g| g.queue_delay).max().unwrap_or(0)
-    }
-
-    /// Summed plan-cost estimate across every admitted group.
-    pub fn total_plan_cost(&self) -> u64 {
-        self.groups.iter().map(|g| g.plan_cost).sum()
-    }
-
-    /// Group ids in the order the scheduler executed them.
-    pub fn admission_order(&self) -> Vec<usize> {
-        let mut ids: Vec<usize> = (0..self.groups.len()).collect();
-        ids.sort_by_key(|&g| self.groups[g].admitted_at);
-        ids
-    }
-}
-
-/// Shortest-plan-first admission order with a fairness cap.
-///
-/// `costs[i]` is the plan-cost estimate of entry `i`; arrival order is the index order.
-/// The returned permutation admits the cheapest pending entry at every slot — stable for
-/// equal costs (earlier arrival wins) — **except** when some pending entry has already
-/// waited `fairness_cap` slots past its arrival rank, in which case the most overdue
-/// entry is admitted instead. This bounds every entry's queue delay:
-/// `position(i) ≤ i + fairness_cap`, so a cheap stream cannot starve behind a single
-/// huge plan, and a huge plan cannot be deferred forever behind a cheap stream.
-///
-/// A cap of 0 degenerates to FIFO (arrival order); a cap of `costs.len()` or more never
-/// binds and yields pure shortest-plan-first order.
-// lint: hot-path, allow(indexing): every index here is drawn from 0..n with
-// n == costs.len(), and the bookkeeping vectors are allocated at length n above
-pub fn admission_order(costs: &[u64], fairness_cap: usize) -> Vec<usize> {
-    let n = costs.len();
-    // Stable shortest-plan-first: sort by (cost, arrival).
-    let mut by_cost: Vec<usize> = (0..n).collect();
-    by_cost.sort_by_key(|&i| (costs[i], i));
-    let mut admitted = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    for slot in 0..n {
-        // At most one entry newly exhausts its slack per slot (arrivals are unique), so
-        // admitting the most overdue entry first keeps every deadline.
-        let overdue = (0..n).find(|&i| !admitted[i] && i.saturating_add(fairness_cap) <= slot);
-        let next = overdue.unwrap_or_else(|| {
-            *by_cost
-                .iter()
-                .find(|&&i| !admitted[i])
-                // lint: allow(panic): n slots admit n entries, so some entry is
-                // still pending at every slot of the loop
-                .expect("one pending entry per remaining slot")
-        });
-        admitted[next] = true;
-        order.push(next);
-    }
-    order
 }
 
 /// Grouping key.
@@ -365,52 +296,22 @@ enum GroupKey {
     Inline(u64, (usize, usize), Option<TasdConfig>),
 }
 
-/// How a group executes: a generation's bands, a prepared decomposition, or an exact
-/// GEMM with a memoized plan.
-enum GroupExec {
-    /// Named group: the generation's prepared bands, run by band.
-    Banded(Arc<Banded>),
-    /// Decomposed group: the prepared series (obtained through the cache at costing
-    /// time) and whether that lookup was a cache hit.
-    Prepared {
-        series: Arc<PreparedSeries>,
-        cache_hit: bool,
-    },
-    /// Exact GEMM group: the memoized plan for the packed output width.
-    Dense { plan: Arc<MatmulPlan> },
-    /// The group's preparation (decomposition / planning) panicked: every member
-    /// resolves to this error, and the group flows through scheduling with cost 0 so
-    /// telemetry and admission invariants hold for the rest of the batch.
-    Failed { error: ServingError },
-}
-
-/// A request group while the batch is still being assembled: one shared operand
-/// (+ config), many right-hand panels. Costing consumes it into a [`CostedGroup`].
+/// A request group: one shared operand (+ config), many right-hand panels.
 struct Group {
     members: Vec<usize>,
     fingerprint: u64,
     banded: Option<Arc<Banded>>,
 }
 
-/// One group's kernel pass result: the packed wide output plus (cache_hit, decomposed),
-/// or the structured error that failed every member.
+/// One group's result: the packed wide output plus (cache_hit, decomposed), or the
+/// structured error that failed every member.
 type GroupOutcome = std::result::Result<(Matrix, bool, bool), ServingError>;
-
-/// A group after costing: the execution strategy is resolved and the summed plan cost is
-/// known, so the schedule/execute loop never meets a half-built group.
-struct CostedGroup {
-    members: Vec<usize>,
-    plan_cost: u64,
-    fingerprint: u64,
-    exec: GroupExec,
-}
 
 impl ExecutionEngine {
     /// Executes a batch of serving requests: groups them by decomposed-operand
-    /// fingerprint, admits groups shortest-plan-first under the engine's fairness cap,
-    /// decomposes each group's operand at most once (through the cache), and runs each
-    /// group as one packed multi-RHS kernel pass. See the [`batch` module docs](self)
-    /// for the full contract.
+    /// fingerprint, then runs the groups in arrival order, each decomposing its operand
+    /// at most once (through the cache) and running as one packed multi-RHS kernel
+    /// pass. See the [`batch` module docs](self) for the full contract.
     ///
     /// Responses come back in request order; a request with inconsistent shapes gets an
     /// `Err` response without poisoning the rest of the batch.
@@ -426,8 +327,8 @@ impl ExecutionEngine {
     /// batch-level `cache_hits`/`cache_misses` are deltas of the engine-wide stats, so
     /// concurrent traffic from other threads is included in them.
     // lint: hot-path, allow(indexing): request indices come from enumerate() over the
-    // batch, group ids from the group vector's own length, and the member_cost /
-    // responses / telemetry vectors are all allocated at those exact lengths
+    // batch, group ids from the group vector's own length, and the responses vector is
+    // allocated at the batch's length
     pub fn submit_with_telemetry(
         &self,
         requests: Vec<BatchRequest>,
@@ -443,17 +344,14 @@ impl ExecutionEngine {
         for (i, req) in requests.iter().enumerate() {
             if req.b.rows() != req.a.cols() {
                 rejected += 1;
-                responses[i] = Some(BatchResponse {
-                    index: i,
-                    output: Err(ServingError::ShapeMismatch {
+                responses[i] = Some(BatchResponse::failed(
+                    i,
+                    ServingError::ShapeMismatch {
                         op: "batch request",
                         lhs: req.a.shape(),
                         rhs: req.b.shape(),
-                    }),
-                    group: None,
-                    plan_cost: 0,
-                    cache_hit: false,
-                });
+                    },
+                ));
                 continue;
             }
             let banded = req.bands.as_ref().filter(|bands| bands.serves(req));
@@ -482,126 +380,32 @@ impl ExecutionEngine {
             groups[gid].members.push(i);
         }
 
-        // ---- Prepare and cost every group (no operand scans on the warm path) --------
-        // Banded groups arrive prepared. Inline decomposed groups are prepared here,
-        // through the cache: the decomposition and format packing happen at most once
-        // per group per batch (and zero times warm); costs come from the prepared terms'
-        // exact non-zero counts. Dense groups cost from their memoized plan's density —
-        // the non-zero scan runs only on the first batch that sees the operand content.
-        let mut member_cost = vec![0u64; n];
-        let costed: Vec<CostedGroup> = groups
-            .into_iter()
-            .map(|group| {
-                let first = &requests[group.members[0]];
-                let a = &first.a;
-                let packed_width: usize = group.members.iter().map(|&i| requests[i].b.cols()).sum();
-                // A panicking decomposition (or planner) fails only its own group: the
-                // group becomes GroupExec::Failed and still flows through scheduling,
-                // so every other group — and every telemetry invariant — is untouched.
-                let prep = catch_unwind(AssertUnwindSafe(|| -> (u64, GroupExec) {
-                    match (&group.banded, &first.config) {
-                        // Decomposition is row-local, so the summed band nnz equals
-                        // the whole operand's and the cost estimate is unchanged.
-                        (Some(bands), _) => {
-                            (bands.nnz() as u64, GroupExec::Banded(Arc::clone(bands)))
-                        }
-                        (None, Some(cfg)) => {
-                            let (series, cache_hit) =
-                                self.prepare_with_fingerprint(a.as_ref(), cfg, group.fingerprint);
-                            let macs = series.nnz() as u64;
-                            (macs, GroupExec::Prepared { series, cache_hit })
-                        }
-                        (None, None) => {
-                            let plan = self.plan_gemm_memoized(
-                                a.as_ref(),
-                                group.fingerprint,
-                                packed_width,
-                            );
-                            // lint: allow(indexing): plan_terms never returns an empty plan
-                            let macs = (plan.terms[0].density * a.len() as f64) as u64;
-                            (macs, GroupExec::Dense { plan })
-                        }
-                    }
-                }));
-                let (per_col_macs, exec) = match prep {
-                    Ok(prepped) => prepped,
-                    Err(payload) => (
-                        0,
-                        GroupExec::Failed {
-                            error: ServingError::KernelPanicked {
-                                payload: describe_panic(payload.as_ref()),
-                            },
-                        },
-                    ),
-                };
-                let mut plan_cost = 0u64;
-                for &i in &group.members {
-                    let cost = per_col_macs * requests[i].b.cols() as u64;
-                    member_cost[i] = cost;
-                    plan_cost += cost;
-                }
-                CostedGroup {
-                    members: group.members,
-                    plan_cost,
-                    fingerprint: group.fingerprint,
-                    exec,
-                }
-            })
-            .collect();
-
-        // ---- Schedule and execute ----------------------------------------------------
-        let group_costs: Vec<u64> = costed.iter().map(|g| g.plan_cost).collect();
-        let order = admission_order(&group_costs, self.fairness_cap());
-        let mut group_telemetry: Vec<Option<GroupTelemetry>> =
-            (0..costed.len()).map(|_| None).collect();
+        // ---- Prepare, execute and answer each group, in arrival order ----------------
+        let mut group_telemetry = Vec::with_capacity(groups.len());
         let mut panicked = 0usize;
-        for (slot, &gid) in order.iter().enumerate() {
-            let group = &costed[gid];
-            let first = &requests[group.members[0]];
+        for (gid, group) in groups.into_iter().enumerate() {
             let panels: Vec<&Matrix> = group.members.iter().map(|&i| &requests[i].b).collect();
-            // The window's failure containment: a panicking kernel pass fails only its
-            // own group — every member gets a KernelPanicked response, the loop moves
-            // to the next admitted group, and the surviving groups' outputs are bitwise
-            // identical to a fault-free batch (group passes are independent).
-            let executed: std::result::Result<GroupOutcome, Box<dyn Any + Send>> =
-                catch_unwind(AssertUnwindSafe(|| -> GroupOutcome {
-                    let wide_b = pack_panels(&panels)?;
-                    Ok(match &group.exec {
-                        GroupExec::Banded(bands) => {
-                            // One packed multi-RHS pass per band, each writing its own
-                            // rows of the wide output; bitwise identical to the whole
-                            // operand's pass.
-                            let mut c = Matrix::zeros(first.a.rows(), wide_b.cols());
-                            self.gemm_bands_into(first.a.shape(), &bands.bands, &wide_b, &mut c)?;
-                            (c, false, false)
-                        }
-                        GroupExec::Prepared { series, cache_hit } => {
-                            let c = self.series_gemm_prepared(series, &wide_b)?;
-                            (c, *cache_hit, !*cache_hit)
-                        }
-                        GroupExec::Dense { plan } => {
-                            let mut c = Matrix::zeros(first.a.rows(), wide_b.cols());
-                            self.gemm_into_with_plan(first.a.as_ref(), &wide_b, &mut c, plan)?;
-                            (c, false, false)
-                        }
-                        GroupExec::Failed { error } => return Err(error.clone()),
-                    })
-                }));
-            let outcome = match executed {
-                Ok(outcome) => outcome,
-                Err(payload) => Err(ServingError::KernelPanicked {
+            // The window's failure containment: a panic while preparing the group's
+            // operand or in its kernel pass fails only this group — every member gets a
+            // KernelPanicked response, the loop moves on to the next group, and the
+            // other groups' outputs are bitwise identical to a fault-free batch (group
+            // passes are independent).
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                self.execute_group(&requests[group.members[0]], &group, &panels)
+            }))
+            .unwrap_or_else(|payload| {
+                Err(ServingError::KernelPanicked {
                     payload: describe_panic(payload.as_ref()),
-                }),
-            };
+                })
+            });
             let (cache_hit, decomposed) = match outcome {
                 Ok((wide_c, cache_hit, decomposed)) => {
                     let widths: Vec<usize> = panels.iter().map(|p| p.cols()).collect();
-                    for (&i, out) in group.members.iter().zip(unpack_panels(&wide_c, &widths)) {
+                    for (&i, out) in group.members.iter().zip(unpack_panels(wide_c, &widths)) {
                         responses[i] = Some(BatchResponse {
                             index: i,
                             output: Ok(out),
                             group: Some(gid),
-                            plan_cost: member_cost[i],
                             cache_hit,
                         });
                     }
@@ -613,45 +417,31 @@ impl ExecutionEngine {
                     }
                     for &i in &group.members {
                         responses[i] = Some(BatchResponse {
-                            index: i,
-                            output: Err(error.clone()),
                             group: Some(gid),
-                            plan_cost: member_cost[i],
-                            cache_hit: false,
+                            ..BatchResponse::failed(i, error.clone())
                         });
                     }
                     (false, false)
                 }
             };
-            group_telemetry[gid] = Some(GroupTelemetry {
+            group_telemetry.push(GroupTelemetry {
                 fingerprint: group.fingerprint,
-                members: group.members.clone(),
-                plan_cost: group.plan_cost,
-                admitted_at: slot,
-                // Groups are numbered in arrival order, so gid is the arrival rank.
-                queue_delay: slot.saturating_sub(gid),
+                members: group.members,
                 decomposed,
                 cache_hit,
             });
         }
 
         let stats_after = self.cache_stats();
-        let groups: Vec<GroupTelemetry> = group_telemetry
-            .into_iter()
-            // lint: allow(panic): admission_order returns a permutation of the group
-            // ids, so the execute loop filled every telemetry slot
-            .map(|g| g.expect("every group was admitted exactly once"))
-            .collect();
         let telemetry = BatchTelemetry {
             requests: n,
             rejected,
             panicked,
-            fairness_cap: self.fairness_cap(),
-            decompositions: groups.iter().filter(|g| g.decomposed).count() as u64,
+            decompositions: group_telemetry.iter().filter(|g| g.decomposed).count() as u64,
             cache_hits: stats_after.hits - stats_before.hits,
             cache_misses: stats_after.misses - stats_before.misses,
             bytes_resident: stats_after.bytes_resident,
-            groups,
+            groups: group_telemetry,
         };
         let responses = responses
             .into_iter()
@@ -660,6 +450,41 @@ impl ExecutionEngine {
             .map(|r| r.expect("every request was answered"))
             .collect();
         (responses, telemetry)
+    }
+
+    /// Prepares `group`'s operand and runs its one packed kernel pass over `panels`:
+    /// a generation's bands run by band, an inline decomposed operand goes through the
+    /// cache, and an exact GEMM runs on its memoized plan. `first` is the group's first
+    /// request, which names the shared operand and config.
+    // lint: hot-path
+    fn execute_group(
+        &self,
+        first: &BatchRequest,
+        group: &Group,
+        panels: &[&Matrix],
+    ) -> GroupOutcome {
+        let a = first.a.as_ref();
+        let wide_b = pack_panels(panels)?;
+        match (&group.banded, &first.config) {
+            (Some(bands), _) => {
+                // One pass per band, each writing its own rows of the wide output;
+                // bitwise identical to the whole operand's pass.
+                let mut c = Matrix::zeros(a.rows(), wide_b.cols());
+                self.gemm_bands_into(a.shape(), &bands.bands, &wide_b, &mut c)?;
+                Ok((c, false, false))
+            }
+            (None, Some(cfg)) => {
+                let (series, cache_hit) = self.prepare_with_fingerprint(a, cfg, group.fingerprint);
+                let c = self.series_gemm_prepared(&series, &wide_b)?;
+                Ok((c, cache_hit, !cache_hit))
+            }
+            (None, None) => {
+                let plan = self.plan_gemm_memoized(a, group.fingerprint, wide_b.cols());
+                let mut c = Matrix::zeros(a.rows(), wide_b.cols());
+                self.gemm_into_with_plan(a, &wide_b, &mut c, &plan)?;
+                Ok((c, false, false))
+            }
+        }
     }
 }
 
@@ -671,71 +496,6 @@ mod tests {
     fn engine() -> ExecutionEngine {
         ExecutionEngine::builder().build()
     }
-
-    // ---- Scheduler unit tests --------------------------------------------------------
-
-    #[test]
-    fn shortest_plan_first_orders_by_cost() {
-        let order = admission_order(&[30, 10, 20], 100);
-        assert_eq!(order, vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn equal_costs_keep_arrival_order() {
-        // Stability: ties broken by arrival, so the order is deterministic.
-        let order = admission_order(&[5, 5, 5, 5], 100);
-        assert_eq!(order, vec![0, 1, 2, 3]);
-        let order = admission_order(&[9, 5, 5, 9, 5], 100);
-        assert_eq!(order, vec![1, 2, 4, 0, 3]);
-    }
-
-    #[test]
-    fn fairness_cap_bounds_queue_delay() {
-        // One huge plan arriving first, then a stream of cheap ones: without the cap the
-        // huge plan would be admitted last.
-        let mut costs = vec![1_000_000u64];
-        costs.extend(std::iter::repeat_n(1, 20));
-        for cap in [0usize, 1, 3, 7, 50] {
-            let order = admission_order(&costs, cap);
-            let mut position = vec![0usize; costs.len()];
-            for (slot, &i) in order.iter().enumerate() {
-                position[i] = slot;
-            }
-            for (i, &pos) in position.iter().enumerate() {
-                assert!(
-                    pos <= i + cap,
-                    "cap {cap}: entry {i} admitted at slot {pos}, past its deadline"
-                );
-            }
-        }
-        // And the cap actually binds: with cap 3 the huge plan runs at slot 3, not last.
-        let order = admission_order(&costs, 3);
-        assert_eq!(order.iter().position(|&i| i == 0), Some(3));
-    }
-
-    #[test]
-    fn fairness_cap_zero_is_fifo() {
-        let order = admission_order(&[100, 1, 50, 2], 0);
-        assert_eq!(order, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn admission_order_is_a_permutation_under_random_costs() {
-        let mut gen = MatrixGenerator::seeded(9);
-        let noise = gen.normal(1, 64, 0.0, 1.0);
-        let costs: Vec<u64> = noise
-            .row(0)
-            .iter()
-            .map(|x| (x.abs() * 1e6) as u64)
-            .collect();
-        for cap in [0usize, 2, 5, 64] {
-            let mut order = admission_order(&costs, cap);
-            order.sort_unstable();
-            assert_eq!(order, (0..costs.len()).collect::<Vec<_>>());
-        }
-    }
-
-    // ---- Submit tests ----------------------------------------------------------------
 
     #[test]
     fn identical_operands_decompose_exactly_once() {
@@ -819,28 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn groups_are_admitted_shortest_plan_first() {
-        let mut gen = MatrixGenerator::seeded(24);
-        // Arrival order: huge dense group first, tiny group second.
-        let big = gen.normal(96, 96, 0.0, 1.0);
-        let small = gen.normal(8, 8, 0.0, 1.0);
-        let e = engine();
-        let requests = vec![
-            BatchRequest::dense(big, gen.normal(96, 32, 0.0, 1.0)),
-            BatchRequest::dense(small, gen.normal(8, 2, 0.0, 1.0)),
-        ];
-        let (_, telemetry) = e.submit_with_telemetry(requests);
-        assert_eq!(telemetry.admission_order(), vec![1, 0]);
-        assert_eq!(telemetry.groups[0].queue_delay, 1);
-        assert!(telemetry.max_queue_delay() <= telemetry.fairness_cap);
-        assert!(telemetry.groups[0].plan_cost > telemetry.groups[1].plan_cost);
-        assert_eq!(
-            telemetry.total_plan_cost(),
-            telemetry.groups.iter().map(|g| g.plan_cost).sum::<u64>()
-        );
-    }
-
-    #[test]
     fn zero_capacity_engine_serves_batches_without_caching() {
         // Regression companion to `DecompositionCache::new(0)`: a cache-less engine must
         // serve every batch (decomposing per batch) and never panic.
@@ -870,7 +608,6 @@ mod tests {
         assert!(responses.is_empty());
         assert_eq!(telemetry.requests, 0);
         assert!(telemetry.groups.is_empty());
-        assert_eq!(telemetry.max_queue_delay(), 0);
     }
 
     #[test]

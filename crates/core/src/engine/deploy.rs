@@ -104,11 +104,6 @@ impl Banded {
     pub(crate) fn serves(&self, request: &BatchRequest) -> bool {
         Arc::ptr_eq(&self.matrix, &request.a) && request.config.as_ref() == Some(&self.config)
     }
-
-    /// Stored non-zeros across every band's terms (the whole operand's series nnz).
-    pub(crate) fn nnz(&self) -> usize {
-        self.bands.iter().map(|band| band.nnz()).sum()
-    }
 }
 
 /// One immutable version of a named serving operand: the weights, their decomposition

@@ -13,7 +13,7 @@
 //! Two injection surfaces share one plan:
 //!
 //! * [`FaultyBackend`] wraps any [`GemmBackend`] and trips [`FaultSite::Gemm`] once per
-//!   whole-operand kernel entry (`gemm_into` / `gemm_multi_into`). Install it with
+//!   whole-operand kernel entry (`gemm_into`). Install it with
 //!   [`EngineBuilder::backend`](super::EngineBuilder::backend); wrap the *same* inner
 //!   backend with an empty plan to build the fault-free bitwise reference.
 //! * Engine **failpoints**: [`EngineBuilder::fault_plan`](super::EngineBuilder::fault_plan)
@@ -51,8 +51,7 @@ pub enum FaultKind {
 /// A named injection point. Call indices count per site, starting at 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// One whole-operand kernel entry of a [`FaultyBackend`] (`gemm_into` or
-    /// `gemm_multi_into`).
+    /// One whole-operand kernel entry (`gemm_into`) of a [`FaultyBackend`].
     Gemm,
     /// The engine entering a decomposition: an inline operand's cache miss, or a band a
     /// deploy prepares.
@@ -278,25 +277,15 @@ impl GemmBackend for FaultyBackend {
         self.inner.gemm_rows_into(lhs, b, r0, r1, c_rows, n_cols);
     }
 
-    fn gemm_multi_into(
-        &self,
-        lhs: &dyn GemmOperand,
-        panels: &[&Matrix],
-        outs: &mut [Matrix],
-    ) -> Result<()> {
-        self.plan.trip(FaultSite::Gemm)?;
-        self.inner.gemm_multi_into(lhs, panels, outs)
-    }
-
     fn cost_hint(&self, lhs: &dyn GemmOperand, n_cols: usize) -> tasd_tensor::backend::CostHint {
         self.inner.cost_hint(lhs, n_cols)
     }
 }
 
 /// A [`GemmBackend`] decorator that holds kernels on a latch the test releases: each
-/// kernel entry (`gemm_into`, `gemm_multi_into`, and the row-block `gemm_rows_into`
-/// that tiled GEMMs and a generation's bands run through) marks the latch as started,
-/// blocks until [`release`](Self::release), then delegates to the wrapped backend.
+/// kernel entry (`gemm_into`, and the row-block `gemm_rows_into` that tiled GEMMs and a
+/// generation's bands run through) marks the latch as started, blocks until
+/// [`release`](Self::release), then delegates to the wrapped backend.
 ///
 /// With [`wait_started`](Self::wait_started), a test knows a window is executing — not
 /// merely that it probably started — so what arrives meanwhile, and which window it
@@ -374,16 +363,6 @@ impl GemmBackend for LatchedBackend {
     ) {
         self.enter();
         self.inner.gemm_rows_into(lhs, b, r0, r1, c_rows, n_cols);
-    }
-
-    fn gemm_multi_into(
-        &self,
-        lhs: &dyn GemmOperand,
-        panels: &[&Matrix],
-        outs: &mut [Matrix],
-    ) -> Result<()> {
-        self.enter();
-        self.inner.gemm_multi_into(lhs, panels, outs)
     }
 
     fn cost_hint(&self, lhs: &dyn GemmOperand, n_cols: usize) -> tasd_tensor::backend::CostHint {

@@ -5,10 +5,10 @@
 //!
 //! 1. **Planning** — for each GEMM (a decomposed [`TasdSeries`] term by term, or a plain
 //!    dense matrix), pick a [`GemmBackend`] from the term's density and shape using the
-//!    measured [`BackendTable`], and decide whether the output rows are worth tiling
-//!    across the executor's workers ([`MatmulPlan`]). Plans are **memoized** per
-//!    `(operand fingerprint, configuration, output-width bucket)`, so steady-state
-//!    serving never replans.
+//!    measured table [`BackendTable::MEASURED`], and decide whether the output rows are
+//!    worth tiling across the executor's workers ([`MatmulPlan`]). Plans are
+//!    **memoized** per `(operand fingerprint, configuration, output-width bucket)`, so
+//!    steady-state serving never replans.
 //! 2. **Preparing** — at decomposition time, materialize every term into its planned
 //!    backend's *native* storage format ([`PreparedSeries`]), so each kernel hits its
 //!    fast path and the per-entry dyn-dispatched fallback never runs on a planned path.
@@ -58,7 +58,7 @@
 //! configuration) pair**, everything the hot path should never repeat:
 //!
 //! * the greedy decomposition itself;
-//! * the per-term backend choice (via the [`BackendTable`]);
+//! * the per-term backend choice (via [`BackendTable::MEASURED`]);
 //! * the materialization of each term into its chosen backend's native format
 //!   (dense [`Matrix`] for dense-planned terms, CSR for CSR-planned terms, the
 //!   compressed N:M term shared as-is for structured-planned terms).
@@ -108,7 +108,7 @@
 //! result: tiles and bands write disjoint output slabs, each output row accumulates its
 //! terms in the same order however the rows are split, and groups execute bitwise
 //! identically to per-request calls — so serving answers are independent of window
-//! composition, admission order, and thread placement.
+//! composition and thread placement.
 //!
 //! # Batched serving: the `submit` contract
 //!
@@ -119,21 +119,14 @@
 //! * **Grouping key** — requests are grouped by `(operand fingerprint, operand shape,
 //!   decomposition config)`, i.e. exactly the decomposition cache's key with "no
 //!   decomposition" (`config: None`) as its own value. Each group prepares its operand
-//!   at most once per batch and executes as **one** packed multi-RHS kernel pass
-//!   ([`GemmBackend::gemm_multi_into`](tasd_tensor::GemmBackend::gemm_multi_into) is the
-//!   backend-level equivalent), so a batch of requests sharing one weight tensor pays for
-//!   its decomposition once and keeps the cache entry hot.
-//! * **Ordering rule** — groups are admitted *shortest-plan-first*: ascending summed
-//!   [`MatmulPlan`] cost estimate (estimated effectual MACs), ties broken by arrival
-//!   order, computed by [`admission_order`]. Results are independent of admission order —
-//!   packing preserves each output column's accumulation order, so `submit` answers are
-//!   bitwise identical to per-request [`series_gemm`](ExecutionEngine::series_gemm) /
+//!   at most once per batch and executes as **one** packed multi-RHS kernel pass, so a
+//!   batch of requests sharing one weight tensor pays for its decomposition once and
+//!   keeps the cache entry hot.
+//! * **Arrival order** — groups run one after another in the order their first request
+//!   arrived, each prepared, executed and answered before the next starts. Packing
+//!   preserves each output column's accumulation order, so `submit` answers are bitwise
+//!   identical to per-request [`series_gemm`](ExecutionEngine::series_gemm) /
 //!   [`gemm`](ExecutionEngine::gemm) calls.
-//! * **Fairness cap** — a group is never admitted more than
-//!   [`fairness_cap`](EngineBuilder::fairness_cap) slots after its arrival rank
-//!   (default [`DEFAULT_FAIRNESS_CAP`]); 0 means strict FIFO, `≥ #groups` means pure
-//!   shortest-plan-first. This bounds the queue delay a huge GEMM can impose on cheap
-//!   requests *and* the starvation a cheap stream can impose on a huge GEMM.
 //!
 //! # Bands: the prepared form of named operands
 //!
@@ -315,10 +308,7 @@ mod prepared;
 mod serving;
 mod sync;
 
-pub use batch::{
-    admission_order, BatchRequest, BatchResponse, BatchTelemetry, GroupTelemetry, ServingError,
-    DEFAULT_FAIRNESS_CAP,
-};
+pub use batch::{BatchRequest, BatchResponse, BatchTelemetry, GroupTelemetry, ServingError};
 pub use cache::{CacheEntryStats, CacheStats, DecompositionCache};
 pub use clock::{Clock, MockClock, MonotonicClock};
 pub use deploy::{DeployError, DeployReport, Generation, WeightStore, BAND_ROWS};
@@ -361,7 +351,6 @@ const PLAN_MEMO_CAPACITY: usize = 4096;
 pub struct EngineBuilder {
     backend: Option<Arc<dyn GemmBackend>>,
     cache_capacity: usize,
-    fairness_cap: usize,
     fingerprint_memo_capacity: usize,
     workers: Option<usize>,
     faults: Option<Arc<FaultPlan>>,
@@ -382,15 +371,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Sets the batch scheduler's fairness cap: the maximum number of admission slots a
-    /// request group can wait past its arrival rank before it is admitted regardless of
-    /// plan cost (see the [module docs](self)). 0 means strict FIFO.
-    #[must_use]
-    pub fn fairness_cap(mut self, cap: usize) -> Self {
-        self.fairness_cap = cap;
         self
     }
 
@@ -450,8 +430,6 @@ impl EngineBuilder {
                 Arc::new(CsrBackend::default()),
                 Arc::new(NmBackend::default()),
             ],
-            backend_table: BackendTable::measured(),
-            fairness_cap: self.fairness_cap,
             cache: Mutex::new(DecompositionCache::new(self.cache_capacity)),
             plans: Mutex::new(PlanMemo::default()),
             fingerprints: Mutex::new(FingerprintMemo::new(self.fingerprint_memo_capacity)),
@@ -485,7 +463,6 @@ impl Default for EngineBuilder {
         EngineBuilder {
             backend: None,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            fairness_cap: DEFAULT_FAIRNESS_CAP,
             fingerprint_memo_capacity: DEFAULT_FINGERPRINT_MEMO_CAPACITY,
             workers: None,
             faults: None,
@@ -637,8 +614,6 @@ pub struct ExecutionEngine {
     backend_override: Option<Arc<dyn GemmBackend>>,
     /// The kernels indexed by [`BackendKind`] discriminant order: dense, csr, nm.
     backends: [Arc<dyn GemmBackend>; 3],
-    backend_table: BackendTable,
-    fairness_cap: usize,
     cache: Mutex<DecompositionCache>,
     plans: Mutex<PlanMemo>,
     fingerprints: Mutex<FingerprintMemo>,
@@ -689,14 +664,14 @@ impl ExecutionEngine {
         if self.backend_override.is_some() {
             return BackendKind::Nm;
         }
-        self.backend_table.choose(density, rows, cols)
+        BackendTable::MEASURED.choose(density, rows, cols)
     }
 
     /// Backend for an *unprepared* structured term (raw [`TasdSeries`] execution): stay
     /// on the stored format's native kernel unless the term crosses into dense —
     /// converting at execution time is exactly what prepared execution exists to avoid.
     fn kind_for_structured_raw(&self, density: f64, rows: usize, cols: usize) -> BackendKind {
-        if self.backend_table.is_dense_crossed(density, rows, cols) {
+        if BackendTable::MEASURED.is_dense_crossed(density, rows, cols) {
             BackendKind::Dense
         } else {
             BackendKind::Nm
@@ -706,7 +681,7 @@ impl ExecutionEngine {
     /// Backend for an undecomposed operand (dense storage): the entry-iteration kernel
     /// below the dense crossover, the blocked dense kernel above it.
     fn kind_for_unstructured(&self, density: f64, rows: usize, cols: usize) -> BackendKind {
-        if self.backend_table.is_dense_crossed(density, rows, cols) {
+        if BackendTable::MEASURED.is_dense_crossed(density, rows, cols) {
             BackendKind::Dense
         } else {
             BackendKind::Csr
@@ -1029,11 +1004,6 @@ impl ExecutionEngine {
         lock_or_panic(&self.cache, "prepared cache").entry_stats()
     }
 
-    /// The batch scheduler's fairness cap (see [`EngineBuilder::fairness_cap`]).
-    pub fn fairness_cap(&self) -> usize {
-        self.fairness_cap
-    }
-
     /// The executor worker count, captured once at build time (see
     /// [`EngineBuilder::workers`]): the number of threads every parallel job in this
     /// engine shares, however many callers are in flight.
@@ -1046,12 +1016,6 @@ impl ExecutionEngine {
     /// wait). The serving test suite pins this to prove nothing spawns per call.
     pub fn pool_threads(&self) -> usize {
         self.executor.pool_threads()
-    }
-
-    /// The (density × shape) → backend table this engine plans and packs with:
-    /// [`BackendTable::measured`].
-    pub fn backend_table(&self) -> &BackendTable {
-        &self.backend_table
     }
 
     /// Drops every cached prepared decomposition, memoized plan, and memoized operand

@@ -37,19 +37,22 @@ impl fmt::Display for BackendKind {
 /// stored format's kernel below the dense crossover (converting at execution time is
 /// exactly what prepared execution exists to avoid).
 ///
-/// [`BackendTable::measured`] carries the numbers recorded in `BENCH_backends.json` by
+/// [`BackendTable::MEASURED`] carries the numbers recorded in `BENCH_backends.json` by
 /// `cargo bench --bench backends`, and every engine plans with it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendTable {
     /// Ascending upper bounds of the density buckets; the last entry must be ≥ 1.0.
-    density_edges: Vec<f64>,
+    density_edges: [f64; DENSITY_BUCKETS],
     /// Operand element count below which the `small` row applies.
     small_shape_elems: usize,
     /// Backend per density bucket for small operands (conversion rarely amortizes).
-    small: Vec<BackendKind>,
+    small: [BackendKind; DENSITY_BUCKETS],
     /// Backend per density bucket for large operands.
-    large: Vec<BackendKind>,
+    large: [BackendKind; DENSITY_BUCKETS],
 }
+
+/// Density buckets of a [`BackendTable`] row.
+const DENSITY_BUCKETS: usize = 3;
 
 impl BackendTable {
     /// Element count below which an operand lands in the "small" shape bucket: a 128×128
@@ -68,14 +71,12 @@ impl BackendTable {
     /// * density ≥ 0.85 — the register-blocked dense kernel wins (measured between 0.75
     ///   and 1.0 on a 512³ GEMM; at 0.5 the sparse kernels are ~1.5× faster);
     /// * small operands keep their stored structured format below the dense crossover.
-    pub fn measured() -> Self {
-        BackendTable {
-            density_edges: vec![0.30, 0.85, 1.0],
-            small_shape_elems: Self::SMALL_SHAPE_ELEMS,
-            small: vec![BackendKind::Nm, BackendKind::Nm, BackendKind::Dense],
-            large: vec![BackendKind::Csr, BackendKind::Nm, BackendKind::Dense],
-        }
-    }
+    pub const MEASURED: BackendTable = BackendTable {
+        density_edges: [0.30, 0.85, 1.0],
+        small_shape_elems: Self::SMALL_SHAPE_ELEMS,
+        small: [BackendKind::Nm, BackendKind::Nm, BackendKind::Dense],
+        large: [BackendKind::Csr, BackendKind::Nm, BackendKind::Dense],
+    };
 
     /// The backend for a term of the given density and logical shape.
     pub fn choose(&self, density: f64, rows: usize, cols: usize) -> BackendKind {
@@ -90,7 +91,7 @@ impl BackendTable {
                 return kind;
             }
         }
-        *row.last().expect("table has at least one bucket")
+        row[DENSITY_BUCKETS - 1]
     }
 
     /// Whether a term of this density and shape crosses into the dense kernel (the

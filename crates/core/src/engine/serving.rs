@@ -21,10 +21,10 @@
 //!    under load, `k` stragglers against one operand become **one** decomposition and
 //!    one packed kernel pass instead of `k`, and no request waits on a timer.
 //! 3. **Group + execute** — a closing window is handed to the engine's batch executor
-//!    verbatim: the same grouping key `(fingerprint, shape, config)`, the same
-//!    shortest-plan-first admission under the fairness cap, the same packed multi-RHS
-//!    kernel passes, the same banded execution of named operands. Every contract
-//!    `submit` ever made holds per window.
+//!    verbatim: the same grouping key `(fingerprint, shape, config)`, the same groups
+//!    run one after another in arrival order, the same packed multi-RHS kernel passes,
+//!    the same banded execution of named operands. Every contract `submit` ever made
+//!    holds per window.
 //! 4. **Handle** — each request's [`BatchResponse`] lands in its handle;
 //!    [`is_ready`](ResponseHandle::is_ready) / [`try_take`](ResponseHandle::try_take)
 //!    poll, [`wait`](ResponseHandle::wait) blocks (closing the window first, so a lone
@@ -60,8 +60,8 @@
 //! its response are not. Group execution is bitwise identical to per-request execution
 //! (the [`batch` module](super::batch) contract) and banded execution is bitwise
 //! identical to whole-operand execution (the engine module docs' "Bands" section), so
-//! window composition, admission order, and executor placement are all invisible in the
-//! results — the concurrency stress suite (`tests/serving_async.rs`) locks this down.
+//! window composition and executor placement are both invisible in the results — the
+//! concurrency stress suite (`tests/serving_async.rs`) locks this down.
 //!
 //! # Deadlines, overload, and shutdown
 //!

@@ -534,7 +534,9 @@ pub fn decode_matrix(buf: &mut &[u8]) -> Result<Matrix, WireError> {
 ///
 /// [`WireError::Oversized`] if the body exceeds the `u32` length prefix.
 pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
-    let mut body = Vec::new();
+    // The body goes straight after a placeholder length prefix, filled in once the
+    // body's length is known, so the frame is built in one buffer.
+    let mut out = vec![0u8; 4];
     match frame {
         Frame::Request {
             id,
@@ -543,8 +545,8 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
             a,
             b,
         } => {
-            body.push(TYPE_REQUEST);
-            body.extend_from_slice(&id.to_le_bytes());
+            out.push(TYPE_REQUEST);
+            out.extend_from_slice(&id.to_le_bytes());
             let mut flags = 0u8;
             if config.is_some() {
                 flags |= FLAG_CONFIG;
@@ -552,35 +554,35 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
             if deadline_micros.is_some() {
                 flags |= FLAG_DEADLINE;
             }
-            body.push(flags);
+            out.push(flags);
             if let Some(config) = config {
                 let bytes = config.as_bytes();
                 debug_assert!(bytes.len() <= u16::MAX as usize, "config strings are short");
-                body.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-                body.extend_from_slice(bytes);
+                out.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
+                out.extend_from_slice(bytes);
             }
             if let Some(deadline) = deadline_micros {
-                body.extend_from_slice(&deadline.to_le_bytes());
+                out.extend_from_slice(&deadline.to_le_bytes());
             }
-            encode_matrix(a, &mut body);
-            encode_matrix(b, &mut body);
+            encode_matrix(a, &mut out);
+            encode_matrix(b, &mut out);
         }
         Frame::Control(op) => {
-            body.push(TYPE_CONTROL);
-            body.push(op.to_byte());
+            out.push(TYPE_CONTROL);
+            out.push(op.to_byte());
         }
         Frame::UpdateWeights { name, config, a } => {
-            body.push(TYPE_UPDATE_WEIGHTS);
+            out.push(TYPE_UPDATE_WEIGHTS);
             let mut flags = 0u8;
             if config.is_some() {
                 flags |= FLAG_CONFIG;
             }
-            body.push(flags);
-            encode_str16(name, &mut body);
+            out.push(flags);
+            encode_str16(name, &mut out);
             if let Some(config) = config {
-                encode_str16(config, &mut body);
+                encode_str16(config, &mut out);
             }
-            encode_matrix(a, &mut body);
+            encode_matrix(a, &mut out);
         }
         Frame::NamedRequest {
             id,
@@ -588,35 +590,35 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
             deadline_micros,
             b,
         } => {
-            body.push(TYPE_NAMED_REQUEST);
-            body.extend_from_slice(&id.to_le_bytes());
+            out.push(TYPE_NAMED_REQUEST);
+            out.extend_from_slice(&id.to_le_bytes());
             let mut flags = 0u8;
             if deadline_micros.is_some() {
                 flags |= FLAG_DEADLINE;
             }
-            body.push(flags);
-            encode_str16(name, &mut body);
+            out.push(flags);
+            encode_str16(name, &mut out);
             if let Some(deadline) = deadline_micros {
-                body.extend_from_slice(&deadline.to_le_bytes());
+                out.extend_from_slice(&deadline.to_le_bytes());
             }
-            encode_matrix(b, &mut body);
+            encode_matrix(b, &mut out);
         }
         Frame::Response { id, output } => {
-            body.push(TYPE_RESPONSE);
-            body.extend_from_slice(&id.to_le_bytes());
-            encode_matrix(output, &mut body);
+            out.push(TYPE_RESPONSE);
+            out.extend_from_slice(&id.to_le_bytes());
+            encode_matrix(output, &mut out);
         }
         Frame::Error { id, code, message } => {
-            body.push(TYPE_ERROR);
-            body.extend_from_slice(&id.to_le_bytes());
-            body.push(code.to_byte());
+            out.push(TYPE_ERROR);
+            out.extend_from_slice(&id.to_le_bytes());
+            out.push(code.to_byte());
             let bytes = message.as_bytes();
-            body.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            body.extend_from_slice(bytes);
+            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            out.extend_from_slice(bytes);
         }
         Frame::ControlAck(op) => {
-            body.push(TYPE_CONTROL_ACK);
-            body.push(op.to_byte());
+            out.push(TYPE_CONTROL_ACK);
+            out.push(op.to_byte());
         }
         Frame::UpdateAck {
             name,
@@ -627,8 +629,8 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
             total_shards,
             prepares,
         } => {
-            body.push(TYPE_UPDATE_ACK);
-            encode_str16(name, &mut body);
+            out.push(TYPE_UPDATE_ACK);
+            encode_str16(name, &mut out);
             for counter in [
                 *generation,
                 *dirty_rows,
@@ -637,11 +639,11 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
                 *total_shards,
                 *prepares,
             ] {
-                body.extend_from_slice(&counter.to_le_bytes());
+                out.extend_from_slice(&counter.to_le_bytes());
             }
         }
         Frame::Stats(report) => {
-            body.push(TYPE_STATS);
+            out.push(TYPE_STATS);
             let stats = &report.serving;
             for counter in [
                 stats.enqueued,
@@ -660,19 +662,18 @@ pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, WireError> {
                 report.bytes_resident,
                 u64::from(report.warm_start),
             ] {
-                body.extend_from_slice(&counter.to_le_bytes());
+                out.extend_from_slice(&counter.to_le_bytes());
             }
         }
     }
-    if body.len() > u32::MAX as usize {
+    let body_len = out.len() - 4;
+    if body_len > u32::MAX as usize {
         return Err(WireError::Oversized {
-            declared: body.len(),
+            declared: body_len,
             cap: u32::MAX as usize,
         });
     }
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
+    out[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
     Ok(out)
 }
 

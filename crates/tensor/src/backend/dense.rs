@@ -43,8 +43,8 @@ use crate::Matrix;
 /// stream — is what makes this backend the right choice for *dense-ish* TASD terms,
 /// while truly sparse terms belong on [`CsrBackend`](super::CsrBackend) /
 /// [`NmBackend`](super::NmBackend); the crossover is measured in `tasd-bench`'s
-/// `backends` bench and re-derived into the engine's `BackendTable` from
-/// `BENCH_backends.json`.
+/// `backends` bench (recorded in `BENCH_backends.json`) and written by hand into the
+/// engine's constant `BackendTable::MEASURED`.
 #[derive(Debug, Clone)]
 pub struct DenseBackend {
     /// Reduction-dimension tile size.

@@ -74,7 +74,7 @@ pub mod simd;
 
 pub use csr::CsrBackend;
 pub use dense::DenseBackend;
-pub use multi::{pack_panels, unpack_panels, unpack_panels_into};
+pub use multi::{pack_panels, unpack_panels};
 pub use nm::NmBackend;
 pub use operand::GemmOperand;
 pub use packed::{PackedKind, PackedOperand};
@@ -124,6 +124,12 @@ pub trait GemmBackend: fmt::Debug + Sync + Send {
 
     /// Computes `C += lhs · b`, accumulating into `c`.
     ///
+    /// Right-hand panels that share `lhs` run as one call on their column-wise packing
+    /// ([`pack_panels`] / [`unpack_panels`]): the row kernel streams each stored entry
+    /// of `lhs` across every panel at once, and each panel's columns come out bitwise
+    /// as from a call of its own, because every output column accumulates in the same
+    /// order.
+    ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if the operand shapes are inconsistent.
@@ -151,45 +157,6 @@ pub trait GemmBackend: fmt::Debug + Sync + Send {
         c_rows: &mut [f32],
         n_cols: usize,
     );
-
-    /// Multi-RHS entry: computes `Cᵢ += lhs · Bᵢ` for a batch of right-hand panels
-    /// sharing the operand, in one kernel pass. The panels are packed column-wise into
-    /// one wide RHS ([`pack_panels`]), executed through [`GemmBackend::gemm_into`] — so
-    /// the row kernel streams every stored entry of `lhs` across the whole batch width
-    /// once instead of once per panel — and the wide result is scattered back. Column
-    /// independence of GEMM makes each `Cᵢ` identical to a one-at-a-time
-    /// `gemm_into(lhs, Bᵢ, Cᵢ)` call, including accumulation order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the panel and output counts differ or
-    /// any `(lhs, Bᵢ, Cᵢ)` triple has inconsistent shapes.
-    fn gemm_multi_into(
-        &self,
-        lhs: &dyn GemmOperand,
-        panels: &[&Matrix],
-        outs: &mut [Matrix],
-    ) -> Result<()> {
-        if panels.len() != outs.len() {
-            return Err(TensorError::ShapeMismatch {
-                op: "multi-rhs panel/output count",
-                lhs: (panels.len(), 0),
-                rhs: (outs.len(), 0),
-            });
-        }
-        for (b, c) in panels.iter().zip(outs.iter()) {
-            check_shapes(self.name(), lhs, b, c)?;
-        }
-        if panels.is_empty() {
-            return Ok(());
-        }
-        let wide_b = pack_panels(panels)?;
-        // Pack the outputs too so `+=` accumulation carries through the wide pass.
-        let mut wide_c = pack_panels(&outs.iter().collect::<Vec<_>>())?;
-        self.gemm_into(lhs, &wide_b, &mut wide_c)?;
-        unpack_panels_into(&wide_c, outs);
-        Ok(())
-    }
 
     /// Estimated cost of executing `lhs · B` where `B` has `n_cols` columns.
     fn cost_hint(&self, lhs: &dyn GemmOperand, n_cols: usize) -> CostHint {
@@ -356,52 +323,6 @@ mod tests {
             }
             assert!(c.approx_eq(&reference, 1e-4), "{}", backend.name());
         }
-    }
-
-    #[test]
-    fn multi_rhs_matches_one_at_a_time_bit_for_bit() {
-        let (a, csr, nm, _) = operands(0.6);
-        let mut gen = MatrixGenerator::seeded(77);
-        let panels: Vec<Matrix> = [5usize, 1, 9, 3]
-            .iter()
-            .map(|&w| gen.normal(a.cols(), w, 0.0, 1.0))
-            .collect();
-        let panel_refs: Vec<&Matrix> = panels.iter().collect();
-        for backend in all_backends() {
-            for operand in [&a as &dyn GemmOperand, &csr, &nm] {
-                let mut batched: Vec<Matrix> = panels
-                    .iter()
-                    .map(|p| Matrix::filled(a.rows(), p.cols(), 0.5))
-                    .collect();
-                backend
-                    .gemm_multi_into(operand, &panel_refs, &mut batched)
-                    .unwrap();
-                for (p, got) in panels.iter().zip(&batched) {
-                    let mut single = Matrix::filled(a.rows(), p.cols(), 0.5);
-                    backend.gemm_into(operand, p, &mut single).unwrap();
-                    // Packing only widens the RHS; per-column accumulation order is
-                    // unchanged, so the results agree exactly.
-                    assert_eq!(&single, got, "{} multi-rhs drift", backend.name());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn multi_rhs_rejects_inconsistent_batches() {
-        let (a, _, _, _) = operands(0.5);
-        let good = Matrix::zeros(a.cols(), 4);
-        let bad = Matrix::zeros(a.cols() + 1, 4);
-        let backend = DenseBackend::default();
-        let mut outs = vec![Matrix::zeros(a.rows(), 4); 2];
-        assert!(backend
-            .gemm_multi_into(&a, &[&good, &bad], &mut outs)
-            .is_err());
-        let mut short = vec![Matrix::zeros(a.rows(), 4)];
-        assert!(backend
-            .gemm_multi_into(&a, &[&good, &good], &mut short)
-            .is_err());
-        assert!(backend.gemm_multi_into(&a, &[], &mut []).is_ok());
     }
 
     #[test]

@@ -9,22 +9,27 @@
 //! per-panel results side by side — each output column accumulates in the same order
 //! either way, so unpacking reproduces the one-at-a-time outputs bit for bit.
 //!
-//! [`GemmBackend::gemm_multi_into`](super::GemmBackend::gemm_multi_into) is the
-//! trait-level entry built on these helpers; the execution engine's `submit` path packs
-//! at the series level so one decomposed `A` serves a whole request group.
+//! A lone panel is its own packing: [`pack_panels`] borrows it and [`unpack_panels`]
+//! returns the wide output itself, so a one-panel pass copies nothing in or out. The
+//! execution engine's `submit` path packs at the series level so one decomposed `A`
+//! serves a whole request group.
 
 use crate::{Matrix, Result, TensorError};
+use std::borrow::Cow;
 
 /// Packs right-hand panels column-wise into one wide matrix `[B₁ | B₂ | … | Bₚ]`.
 ///
-/// Zero-width panels are allowed (they contribute no columns); an empty panel list packs
-/// to a `0×0` matrix.
+/// A single panel comes back borrowed, uncopied. Zero-width panels are allowed (they
+/// contribute no columns); an empty panel list packs to a `0×0` matrix.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if the panels do not all have the same number
 /// of rows.
-pub fn pack_panels(panels: &[&Matrix]) -> Result<Matrix> {
+pub fn pack_panels<'a>(panels: &[&'a Matrix]) -> Result<Cow<'a, Matrix>> {
+    if let [panel] = panels {
+        return Ok(Cow::Borrowed(*panel));
+    }
     let rows = panels.first().map_or(0, |p| p.rows());
     let mut total_cols = 0usize;
     for p in panels {
@@ -46,47 +51,28 @@ pub fn pack_panels(panels: &[&Matrix]) -> Result<Matrix> {
             offset += p.cols();
         }
     }
-    Ok(wide)
+    Ok(Cow::Owned(wide))
 }
 
-/// Splits a packed wide matrix back into panels of the given widths.
+/// Splits a packed wide matrix back into panels of the given widths. A single width
+/// gets `wide` itself back, uncopied.
 ///
 /// # Panics
 ///
 /// Panics if the widths do not sum to the wide matrix's column count.
-pub fn unpack_panels(wide: &Matrix, widths: &[usize]) -> Vec<Matrix> {
+pub fn unpack_panels(wide: Matrix, widths: &[usize]) -> Vec<Matrix> {
     assert_eq!(
         widths.iter().sum::<usize>(),
         wide.cols(),
         "panel widths must cover the packed matrix exactly"
     );
+    if widths.len() == 1 {
+        return vec![wide];
+    }
     let mut outs: Vec<Matrix> = widths
         .iter()
         .map(|&w| Matrix::zeros(wide.rows(), w))
         .collect();
-    scatter_columns(wide, &mut outs);
-    outs
-}
-
-/// Scatters a packed wide matrix's columns into pre-shaped destination panels.
-///
-/// # Panics
-///
-/// Panics if the destination row counts or total width disagree with `wide`.
-pub fn unpack_panels_into(wide: &Matrix, outs: &mut [Matrix]) {
-    assert_eq!(
-        outs.iter().map(Matrix::cols).sum::<usize>(),
-        wide.cols(),
-        "panel widths must cover the packed matrix exactly"
-    );
-    assert!(
-        outs.iter().all(|o| o.rows() == wide.rows()),
-        "every destination panel must have the packed matrix's row count"
-    );
-    scatter_columns(wide, outs);
-}
-
-fn scatter_columns(wide: &Matrix, outs: &mut [Matrix]) {
     for r in 0..wide.rows() {
         let src = wide.row(r);
         let mut offset = 0;
@@ -96,6 +82,7 @@ fn scatter_columns(wide: &Matrix, outs: &mut [Matrix]) {
             offset += w;
         }
     }
+    outs
 }
 
 #[cfg(test)]
@@ -114,7 +101,7 @@ mod tests {
         let wide = pack_panels(&refs).unwrap();
         assert_eq!(wide.shape(), (6, 9));
         let widths: Vec<usize> = panels.iter().map(Matrix::cols).collect();
-        let back = unpack_panels(&wide, &widths);
+        let back = unpack_panels(wide.into_owned(), &widths);
         assert_eq!(back, panels);
     }
 
@@ -124,8 +111,28 @@ mod tests {
         let b = Matrix::from_rows(&[vec![5.0], vec![6.0]]);
         let wide = pack_panels(&[&a, &b]).unwrap();
         assert_eq!(
-            wide,
+            *wide,
             Matrix::from_rows(&[vec![1.0, 2.0, 5.0], vec![3.0, 4.0, 6.0]])
+        );
+    }
+
+    #[test]
+    fn a_lone_panel_is_copied_neither_in_nor_out() {
+        let mut gen = MatrixGenerator::seeded(8);
+        let panel = gen.normal(6, 3, 0.0, 1.0);
+        let packed = pack_panels(&[&panel]).unwrap();
+        assert!(
+            std::ptr::eq(packed.as_ref(), &panel),
+            "packing one panel must hand back the caller's matrix"
+        );
+        let wide = gen.normal(6, 3, 0.0, 1.0);
+        let buffer = wide.as_slice().as_ptr();
+        let outs = unpack_panels(wide, &[3]);
+        assert_eq!(outs.len(), 1);
+        assert_eq!(
+            outs[0].as_slice().as_ptr(),
+            buffer,
+            "unpacking one width must return the wide output's own buffer"
         );
     }
 
@@ -133,7 +140,7 @@ mod tests {
     fn empty_panel_list_packs_to_empty() {
         let wide = pack_panels(&[]).unwrap();
         assert_eq!(wide.shape(), (0, 0));
-        assert!(unpack_panels(&wide, &[]).is_empty());
+        assert!(unpack_panels(wide.into_owned(), &[]).is_empty());
     }
 
     #[test]
@@ -141,14 +148,5 @@ mod tests {
         let a = Matrix::zeros(4, 2);
         let b = Matrix::zeros(3, 2);
         assert!(pack_panels(&[&a, &b]).is_err());
-    }
-
-    #[test]
-    fn unpack_into_preserves_accumulated_shapes() {
-        let wide = Matrix::from_rows(&[vec![1.0, 2.0, 3.0]]);
-        let mut outs = vec![Matrix::zeros(1, 1), Matrix::zeros(1, 2)];
-        unpack_panels_into(&wide, &mut outs);
-        assert_eq!(outs[0][(0, 0)], 1.0);
-        assert_eq!(outs[1].row(0), &[2.0, 3.0]);
     }
 }

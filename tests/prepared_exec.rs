@@ -1,7 +1,7 @@
 //! The prepared-execution contract of [`ExecutionEngine`]: prepared-path results are
 //! **bitwise** identical to the unprepared (raw-series) reference across the full
-//! sparsity range and every fairness-cap regime, and a cache hit performs zero format
-//! conversions and zero replans (counter-based telemetry).
+//! sparsity range, through `series_gemm_prepared` and through `submit`, and a cache hit
+//! performs zero format conversions and zero replans (counter-based telemetry).
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -42,7 +42,7 @@ proptest! {
     }
 
     /// `submit` (which executes prepared series) ≡ the per-request raw-series reference,
-    /// bit for bit, under every fairness-cap regime — FIFO, binding, unbounded.
+    /// bit for bit, cold and warm.
     #[test]
     fn prepared_submit_is_bitwise_identical_to_unprepared_reference(
         (m, k) in (1usize..=128, 1usize..=128),
@@ -74,22 +74,19 @@ proptest! {
                 None => reference_engine.gemm(r.a.as_ref(), &r.b).unwrap(),
             })
             .collect();
-        for cap in [0usize, 1, 1024] {
-            let engine = ExecutionEngine::builder().fairness_cap(cap).build();
-            // Twice: cold (prepare + execute) and warm (cache-hit execute) must both
-            // agree with the reference exactly.
-            for round in ["cold", "warm"] {
-                let responses = engine.submit(requests.clone());
-                for (resp, expected) in responses.iter().zip(&reference) {
-                    prop_assert_eq!(
-                        resp.output.as_ref().unwrap(),
-                        expected,
-                        "cap {} ({} round): request {} diverged bitwise",
-                        cap,
-                        round,
-                        resp.index
-                    );
-                }
+        let engine = ExecutionEngine::builder().build();
+        // Twice: cold (prepare + execute) and warm (cache-hit execute) must both agree
+        // with the reference exactly.
+        for round in ["cold", "warm"] {
+            let responses = engine.submit(requests.clone());
+            for (resp, expected) in responses.iter().zip(&reference) {
+                prop_assert_eq!(
+                    resp.output.as_ref().unwrap(),
+                    expected,
+                    "{} round: request {} diverged bitwise",
+                    round,
+                    resp.index
+                );
             }
         }
     }

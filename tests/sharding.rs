@@ -202,16 +202,10 @@ fn telemetry_accounts_every_row_and_nonzero_exactly_once() {
         "summed band nnz equals the operand's series nnz"
     );
 
-    // The batch telemetry costs the banded group exactly as the whole operand.
+    // The batch telemetry reports the banded request as one group.
     let (responses, telemetry) = engine.submit_with_telemetry(vec![generation.request(b)]);
     assert!(responses[0].output.is_ok());
     assert_eq!(telemetry.groups.len(), 1);
-    assert_eq!(
-        telemetry.groups[0].plan_cost,
-        whole.nnz() as u64 * 6,
-        "plan cost is the summed band nnz times the panel width"
-    );
-    assert_eq!(telemetry.total_plan_cost(), telemetry.groups[0].plan_cost);
 }
 
 #[test]

@@ -1,5 +1,6 @@
-//! SIMD-tier agreement suite: every kernel family (dense blocked, CSR, N:M, and the
-//! packed multi-RHS pass) must compute the same product at every SIMD tier.
+//! SIMD-tier agreement suite: every kernel family (dense blocked, CSR, N:M, and a pass
+//! over column-packed right-hand panels) must compute the same product at every SIMD
+//! tier.
 //!
 //! Two bars, mirroring the dispatch design in `tasd_tensor::backend::simd`:
 //!
@@ -17,7 +18,9 @@
 //! behavioral ground truth).
 
 use proptest::prelude::*;
-use tasd_tensor::backend::{CsrBackend, DenseBackend, GemmBackend, NmBackend, SimdLevel};
+use tasd_tensor::backend::{
+    pack_panels, unpack_panels, CsrBackend, DenseBackend, GemmBackend, NmBackend, SimdLevel,
+};
 use tasd_tensor::{gemm, CsrMatrix, Matrix, MatrixGenerator, NmCompressed, NmPattern};
 
 /// The three kernel-family backends at an explicit SIMD tier.
@@ -106,9 +109,9 @@ fn unaligned_row_offsets_and_partial_ranges_stay_bitwise_on_portable() {
     }
 }
 
-/// The packed multi-RHS pass at both tiers: panel packing must be invisible, panel by
-/// panel, exactly — at the portable tier against the scalar single-panel result, and
-/// at the detected tier against its own single-panel result.
+/// The packed multi-RHS pass at both tiers (`pack_panels` → `gemm_into` →
+/// `unpack_panels`, as the engine runs a request group): panel packing must be
+/// invisible, panel by panel, exactly — every tier against its own single-panel result.
 #[test]
 fn multi_rhs_packed_pass_matches_single_panel_at_every_tier() {
     let mut gen = MatrixGenerator::seeded(0x51D2);
@@ -118,14 +121,12 @@ fn multi_rhs_packed_pass_matches_single_panel_at_every_tier() {
         .map(|&w| gen.normal(48, w, 0.0, 1.0))
         .collect();
     let panel_refs: Vec<&Matrix> = panels.iter().collect();
+    let widths: Vec<usize> = panels.iter().map(Matrix::cols).collect();
+    let wide_b = pack_panels(&panel_refs).unwrap();
     for level in [SimdLevel::Portable, SimdLevel::detected()] {
         for backend in backends_at(level) {
             for operand in [&f.a as &dyn tasd_tensor::GemmOperand, &f.csr, &f.nm] {
-                let mut batched: Vec<Matrix> =
-                    panels.iter().map(|p| Matrix::zeros(16, p.cols())).collect();
-                backend
-                    .gemm_multi_into(operand, &panel_refs, &mut batched)
-                    .unwrap();
+                let batched = unpack_panels(run(backend.as_ref(), operand, &wide_b), &widths);
                 for (p, got) in panels.iter().zip(&batched) {
                     let single = run(backend.as_ref(), operand, p);
                     assert_eq!(
